@@ -17,7 +17,7 @@
 
 use std::fmt::Write as _;
 
-use gpuflow_runtime::RunProfile;
+use gpuflow_runtime::{json_escape_into, RunProfile};
 
 /// How urgent a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -391,54 +391,36 @@ impl DoctorReport {
     /// Deterministic JSON rendering.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(512);
-        let _ = write!(
-            s,
-            "{{\"label\":\"{}\",\"makespan_ns\":{},\"findings\":[",
-            escape(&self.label),
-            self.makespan_ns
-        );
+        s.push_str("{\"label\":\"");
+        json_escape_into(&mut s, &self.label);
+        let _ = write!(s, "\",\"makespan_ns\":{},\"findings\":[", self.makespan_ns);
         for (i, f) in self.findings.iter().enumerate() {
             let sep = if i == 0 { "" } else { "," };
             let _ = write!(
                 s,
-                "{sep}{{\"severity\":\"{}\",\"code\":\"{}\",\"message\":\"{}\",\"evidence\":\"{}\"}}",
+                "{sep}{{\"severity\":\"{}\",\"code\":\"{}\",\"message\":\"",
                 f.severity.label(),
                 f.code,
-                escape(&f.message),
-                escape(&f.evidence)
             );
+            json_escape_into(&mut s, &f.message);
+            s.push_str("\",\"evidence\":\"");
+            json_escape_into(&mut s, &f.evidence);
+            s.push_str("\"}");
         }
         s.push_str("],\"whatifs\":[");
         for (i, w) in self.whatifs.iter().enumerate() {
             let sep = if i == 0 { "" } else { "," };
+            let _ = write!(s, "{sep}{{\"change\":\"");
+            json_escape_into(&mut s, &w.change);
             let _ = write!(
                 s,
-                "{sep}{{\"change\":\"{}\",\"baseline_s\":{},\"predicted_s\":{}}}",
-                escape(&w.change),
-                w.baseline_makespan,
-                w.predicted_makespan
+                "\",\"baseline_s\":{},\"predicted_s\":{}}}",
+                w.baseline_makespan, w.predicted_makespan
             );
         }
         s.push_str("]}");
         s
     }
-}
-
-/// Minimal JSON string escaping for report fields.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

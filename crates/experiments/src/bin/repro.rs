@@ -9,6 +9,8 @@
 //! repro all --threads N  # sweep-level parallelism (default: all cores,
 //!                        # or GPUFLOW_THREADS); results are identical
 //!                        # at every thread count
+//!                        # (unknown artifacts and malformed flags
+//!                        # are usage errors: exit status 2)
 //! repro all --telemetry DIR  # additionally run the canonical Matmul with
 //!                            # telemetry and write telemetry.jsonl,
 //!                            # trace.chrome.json, decisions.log,
@@ -410,6 +412,29 @@ fn run_lint() {
     }
 }
 
+/// The paper's artifacts, in `repro all` order.
+const PAPER_ARTIFACTS: [&str; 12] = [
+    "table1", "fig1", "fig6", "fig7a", "fig7b", "fig8", "fig9a", "fig9b", "fig10a", "fig10b",
+    "fig11", "fig12",
+];
+
+/// Artifacts beyond the paper, run only when named.
+const EXTENSIONS: [&str; 7] = [
+    "sensitivity",
+    "generalizability",
+    "prediction",
+    "memory",
+    "obs",
+    "chaos",
+    "ablation",
+];
+
+/// Reports a command-line mistake and exits with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("repro: {msg} (see --help in the source header)");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Replay and spans dispatch before the generic `--out DIR`
@@ -422,6 +447,13 @@ fn main() {
         run_spans(&args);
         return;
     }
+    let threads = args.iter().position(|a| a == "--threads").map(|i| {
+        match args.get(i + 1).map(|v| (v, v.parse::<usize>())) {
+            Some((_, Ok(n))) => n,
+            Some((v, Err(_))) => usage_error(&format!("--threads takes a number, got '{v}'")),
+            None => usage_error("--threads takes a number"),
+        }
+    });
     let quick = args.iter().any(|a| a == "--quick");
     let out_dir = args
         .iter()
@@ -431,11 +463,6 @@ fn main() {
     if let Some(dir) = &out_dir {
         std::fs::create_dir_all(dir).expect("create output directory");
     }
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse::<usize>().expect("--threads takes a number"));
     let telemetry_dir = args
         .iter()
         .position(|a| a == "--telemetry")
@@ -466,13 +493,15 @@ fn main() {
         .filter(|(i, a)| !a.starts_with("--") && !skip_values.contains(i))
         .map(|(_, a)| a.as_str())
         .collect();
+    if let Some(bad) = targets
+        .iter()
+        .find(|t| **t != "all" && !PAPER_ARTIFACTS.contains(t) && !EXTENSIONS.contains(t))
+    {
+        usage_error(&format!("unknown artifact '{bad}'"));
+    }
     if targets.is_empty() || targets.contains(&"all") {
-        let paper = [
-            "table1", "fig1", "fig6", "fig7a", "fig7b", "fig8", "fig9a", "fig9b", "fig10a",
-            "fig10b", "fig11", "fig12",
-        ];
         let extras: Vec<&str> = targets.iter().copied().filter(|t| *t != "all").collect();
-        targets = paper.into_iter().chain(extras).collect();
+        targets = PAPER_ARTIFACTS.into_iter().chain(extras).collect();
     }
 
     let ctx = Context::default().with_threads(threads.unwrap_or(0));
@@ -556,10 +585,7 @@ fn main() {
                 ablation::run_scheduler_ablation().render(),
                 ablation::render_variance()
             ),
-            other => {
-                eprintln!("unknown artifact '{other}' (see --help in the source header)");
-                continue;
-            }
+            other => unreachable!("artifact '{other}' passed validation"),
         };
         println!("{output}");
         if let Some(dir) = &out_dir {

@@ -34,8 +34,8 @@ pub use scheduler::{
 };
 pub use task::{CostProfile, Param, TaskId, TaskSpec, TaskType};
 pub use telemetry::{
-    to_chrome_trace, to_collapsed, AlertEngine, AlertRule, AlertSeverity, AlertState,
-    AlertTransition, BucketDelta, BucketHistogram, CandidateScore, ChromeTraceSink,
+    json_escape_into, to_chrome_trace, to_collapsed, AlertEngine, AlertRule, AlertSeverity,
+    AlertState, AlertTransition, BucketDelta, BucketHistogram, CandidateScore, ChromeTraceSink,
     CriticalSegment, EventBus, Histogram, HistogramDigest, JsonlSink, LinkKind, MemorySink,
     MetricsHub, MetricsRegistry, OverheadReport, PathChange, PathDelta, PhaseSpan, ResourceProfile,
     RuleKind, RunDiff, RunProfile, SampleRow, SampleStats, SchedulerDecision, SpanForest,

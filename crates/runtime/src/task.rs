@@ -2,6 +2,7 @@
 //! run.
 
 use std::borrow::Borrow;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -17,6 +18,93 @@ pub struct TaskId(pub u32);
 impl fmt::Display for TaskId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "t{}", self.0)
+    }
+}
+
+/// A map from [`TaskId`] to `T` for the telemetry folds.
+///
+/// Ids below `bound` (the workflow's task count, or the event count of
+/// a stream without a workflow) index a `Vec` that grows on demand; any
+/// other id a stream names spills to an ordered map, so the table keeps
+/// the semantics of a `HashMap<TaskId, T>` without hashing on every
+/// event. Iteration is in ascending id order.
+#[derive(Debug, Clone)]
+pub(crate) struct TaskTable<T> {
+    dense: Vec<Option<T>>,
+    bound: usize,
+    spill: BTreeMap<u32, T>,
+}
+
+impl<T> TaskTable<T> {
+    /// An empty table whose dense part covers ids below `bound`.
+    pub(crate) fn new(bound: usize) -> Self {
+        TaskTable {
+            dense: Vec::new(),
+            bound,
+            spill: BTreeMap::new(),
+        }
+    }
+
+    /// The value of `task`, if any.
+    pub(crate) fn get(&self, task: TaskId) -> Option<&T> {
+        match self.dense.get(task.0 as usize) {
+            Some(slot) => slot.as_ref(),
+            None => self.spill.get(&task.0),
+        }
+    }
+
+    /// The value of `task`, mutably, if any.
+    pub(crate) fn get_mut(&mut self, task: TaskId) -> Option<&mut T> {
+        match self.dense.get_mut(task.0 as usize) {
+            Some(slot) => slot.as_mut(),
+            None => self.spill.get_mut(&task.0),
+        }
+    }
+
+    /// The dense slot of id `i < bound`, growing the table to reach it.
+    fn dense_slot(&mut self, i: usize) -> &mut Option<T> {
+        if i >= self.dense.len() {
+            self.dense.resize_with(i + 1, || None);
+        }
+        &mut self.dense[i]
+    }
+
+    /// The value of `task`, inserting `make()` first if it has none.
+    pub(crate) fn get_or_insert_with(&mut self, task: TaskId, make: impl FnOnce() -> T) -> &mut T {
+        let i = task.0 as usize;
+        if i < self.bound {
+            self.dense_slot(i).get_or_insert_with(make)
+        } else {
+            self.spill.entry(task.0).or_insert_with(make)
+        }
+    }
+
+    /// Sets the value of `task`, returning the previous one.
+    pub(crate) fn insert(&mut self, task: TaskId, value: T) -> Option<T> {
+        let i = task.0 as usize;
+        if i < self.bound {
+            self.dense_slot(i).replace(value)
+        } else {
+            self.spill.insert(task.0, value)
+        }
+    }
+
+    /// Removes and returns the value of `task`.
+    pub(crate) fn remove(&mut self, task: TaskId) -> Option<T> {
+        match self.dense.get_mut(task.0 as usize) {
+            Some(slot) => slot.take(),
+            None => self.spill.remove(&task.0),
+        }
+    }
+
+    /// Every `(task, value)` pair in ascending id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (TaskId, &T)> {
+        let dense = self
+            .dense
+            .iter()
+            .enumerate()
+            .filter_map(|(i, v)| v.as_ref().map(|v| (TaskId(i as u32), v)));
+        dense.chain(self.spill.iter().map(|(&id, v)| (TaskId(id), v)))
     }
 }
 
@@ -237,6 +325,25 @@ impl TaskSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn task_table_behaves_like_a_map_inside_and_outside_its_bound() {
+        let mut t: TaskTable<u64> = TaskTable::new(4);
+        assert_eq!(t.insert(TaskId(2), 20), None);
+        assert_eq!(t.insert(TaskId(9), 90), None, "beyond the bound spills");
+        assert_eq!(t.insert(TaskId(2), 21), Some(20));
+        *t.get_or_insert_with(TaskId(0), || 1) += 1;
+        *t.get_or_insert_with(TaskId(9), || 0) += 1;
+        assert_eq!(t.get(TaskId(0)), Some(&2));
+        assert_eq!(t.get(TaskId(3)), None);
+        assert_eq!(t.get(TaskId(9)), Some(&91));
+        let all: Vec<_> = t.iter().map(|(k, v)| (k.0, *v)).collect();
+        assert_eq!(all, vec![(0, 2), (2, 21), (9, 91)]);
+        assert_eq!(t.remove(TaskId(9)), Some(91));
+        assert_eq!(t.remove(TaskId(2)), Some(21));
+        assert_eq!(t.remove(TaskId(7)), None);
+        assert_eq!(t.iter().count(), 1);
+    }
 
     fn work(flops: f64) -> KernelWork {
         KernelWork {

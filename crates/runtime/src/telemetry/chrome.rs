@@ -16,61 +16,153 @@
 //! Timestamps are microseconds with nanosecond precision (`ts`/`dur`
 //! are fractional), directly comparable across exports of the same run.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
-
-use crate::task::TaskId;
+use crate::task::{TaskId, TaskTable};
 use crate::trace::TraceState;
 
-use super::event::{json_escape, TelemetryEvent};
+use super::event::{json_escape_into, TelemetryEvent};
 use super::sink::{MemorySink, TelemetrySink};
 use super::TelemetryLog;
 
 /// Thread-track id of GPU device `g` within its node's process.
-fn gpu_tid(g: u16) -> u32 {
-    1000 + g as u32
+fn gpu_tid(g: u16) -> u64 {
+    1000 + g as u64
 }
 
-fn push_meta(out: &mut String, pid: usize, tid: Option<u32>, kind: &str, name: &str) {
-    match tid {
-        Some(tid) => {
-            let _ = write!(
-                out,
-                "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{kind}\",\"args\":{{\"name\":\"{}\"}}}}",
-                json_escape(name)
-            );
+/// Capacity reserved per rendered event; the longest common events
+/// (decisions, gauges, stages) stay under it.
+const EVENT_BYTES_HINT: usize = 112;
+
+/// The JSON document under construction: one buffer, events separated
+/// by `",\n"`, numbers formatted by hand.
+struct Doc {
+    out: String,
+    events: usize,
+}
+
+impl Doc {
+    /// Starts the next event with `head`.
+    fn event(&mut self, head: &str) -> &mut Self {
+        if self.events > 0 {
+            self.out.push_str(",\n");
         }
-        None => {
-            let _ = write!(
-                out,
-                "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"{kind}\",\"args\":{{\"name\":\"{}\"}}}}",
-                json_escape(name)
-            );
+        self.events += 1;
+        self.out.push_str(head);
+        self
+    }
+
+    /// A literal fragment.
+    fn s(&mut self, s: &str) -> &mut Self {
+        self.out.push_str(s);
+        self
+    }
+
+    /// A string escaped for a JSON literal.
+    fn esc(&mut self, s: &str) -> &mut Self {
+        json_escape_into(&mut self.out, s);
+        self
+    }
+
+    /// An unsigned integer in decimal.
+    fn n(&mut self, mut v: u64) -> &mut Self {
+        let mut digits = [0u8; 20];
+        let mut i = digits.len();
+        loop {
+            i -= 1;
+            digits[i] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
         }
+        for &d in &digits[i..] {
+            self.out.push(char::from(d));
+        }
+        self
+    }
+
+    /// Nanoseconds as microseconds with nanosecond precision
+    /// (`{us}.{ns:03}`), the unit of `ts` and `dur`.
+    fn us(&mut self, ns: u64) -> &mut Self {
+        self.n(ns / 1000).s(".");
+        let frac = (ns % 1000) as u16;
+        for d in [frac / 100, frac / 10 % 10, frac % 10] {
+            self.out.push(char::from(b'0' + d as u8));
+        }
+        self
+    }
+
+    /// The `"pid":…,"tid":0,"ts":…` fields of a per-process track.
+    fn track(&mut self, pid: u64, ns: u64) -> &mut Self {
+        self.s(",\"pid\":").n(pid).s(",\"tid\":0,\"ts\":").us(ns)
+    }
+
+    /// A metadata event up to the opening quote of its `args.name`.
+    fn meta(&mut self, pid: u64, tid: Option<u64>, kind: &str) -> &mut Self {
+        self.event("{\"ph\":\"M\",\"pid\":").n(pid);
+        if let Some(tid) = tid {
+            self.s(",\"tid\":").n(tid);
+        }
+        self.s(",\"name\":\"").s(kind).s("\",\"args\":{\"name\":\"")
+    }
+
+    /// A task's async-span name: its type and id, or just the id when
+    /// the stream never dispatched it.
+    fn task_name(&mut self, names: &TaskTable<&str>, task: TaskId) -> &mut Self {
+        if let Some(ty) = names.get(task) {
+            self.esc(ty).s(" ");
+        }
+        self.s("t").n(task.0 as u64)
     }
 }
 
-/// Microseconds with nanosecond precision, rendered deterministically.
-fn us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1000, ns % 1000)
+/// Sets `sets[node][i]`, growing both levels as needed.
+fn mark(sets: &mut Vec<Vec<bool>>, node: usize, i: u16) {
+    if node >= sets.len() {
+        sets.resize_with(node + 1, Vec::new);
+    }
+    let set = &mut sets[node];
+    if i as usize >= set.len() {
+        set.resize(i as usize + 1, false);
+    }
+    set[i as usize] = true;
+}
+
+/// The members of `sets[node]` in ascending order.
+fn members(sets: &[Vec<bool>], node: usize) -> impl Iterator<Item = u16> + '_ {
+    sets.get(node)
+        .map_or(&[][..], Vec::as_slice)
+        .iter()
+        .enumerate()
+        .filter(|(_, on)| **on)
+        .map(|(i, _)| i as u16)
 }
 
 /// Exports a telemetry log as a Chrome `trace_event` JSON document.
 pub fn to_chrome_trace(log: &TelemetryLog) -> String {
-    // Pass 1: discover tracks and task names.
-    let mut cores: BTreeMap<usize, Vec<u16>> = BTreeMap::new(); // node -> sorted cores
-    let mut gpus: BTreeMap<usize, Vec<u16>> = BTreeMap::new();
-    let mut task_names: BTreeMap<TaskId, String> = BTreeMap::new();
+    // Pass 1: discover tracks and task names, and count the events the
+    // document will hold.
+    let mut cores: Vec<Vec<bool>> = Vec::new(); // node -> core seen
+    let mut gpus: Vec<Vec<bool>> = Vec::new();
+    let mut task_names: TaskTable<&str> = TaskTable::new(log.len());
     let mut max_node = 0usize;
+    let mut rendered = 0usize;
     for ev in log.events() {
+        rendered += match ev {
+            TelemetryEvent::TaskReady { .. }
+            | TelemetryEvent::Transfer { .. }
+            | TelemetryEvent::CacheAccess { .. }
+            | TelemetryEvent::CacheEvicted { .. } => 0,
+            TelemetryEvent::Decision(_) | TelemetryEvent::NodeGauge { .. } => 2,
+            _ => 1,
+        };
         match ev {
             TelemetryEvent::Stage {
                 node, core, gpu, ..
             } => {
                 max_node = max_node.max(*node);
-                cores.entry(*node).or_default().push(*core);
+                mark(&mut cores, *node, *core);
                 if let Some(g) = gpu {
-                    gpus.entry(*node).or_default().push(*g);
+                    mark(&mut gpus, *node, *g);
                 }
             }
             TelemetryEvent::TaskDispatched {
@@ -80,7 +172,7 @@ pub fn to_chrome_trace(log: &TelemetryLog) -> String {
                 ..
             } => {
                 max_node = max_node.max(*node);
-                task_names.insert(*task, format!("{task_type} t{}", task.0));
+                task_names.insert(*task, task_type.as_str());
             }
             TelemetryEvent::NodeGauge { node, .. } => max_node = max_node.max(*node),
             TelemetryEvent::FaultInjected {
@@ -93,54 +185,52 @@ pub fn to_chrome_trace(log: &TelemetryLog) -> String {
             _ => {}
         }
     }
-    for v in cores.values_mut().chain(gpus.values_mut()) {
-        v.sort();
-        v.dedup();
-    }
-    let master_pid = max_node + 1;
+    let master = max_node + 1;
+    let master_pid = master as u64;
+    let tracks = cores
+        .iter()
+        .chain(&gpus)
+        .flatten()
+        .filter(|on| **on)
+        .count();
 
-    let mut evs: Vec<String> = Vec::with_capacity(log.len() + 16);
+    const HEADER: &str = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+    let mut doc = Doc {
+        out: String::with_capacity(
+            HEADER.len() + (rendered + tracks + 2 * master + 2) * EVENT_BYTES_HINT,
+        ),
+        events: 0,
+    };
+    doc.s(HEADER);
     // Metadata: processes and named tracks.
     for node in 0..=max_node {
-        let mut m = String::new();
-        push_meta(&mut m, node, None, "process_name", &format!("node {node}"));
-        evs.push(m);
-        for c in cores.get(&node).map(Vec::as_slice).unwrap_or(&[]) {
-            let mut m = String::new();
-            push_meta(
-                &mut m,
-                node,
-                Some(*c as u32),
-                "thread_name",
-                &format!("core {c}"),
-            );
-            evs.push(m);
+        let pid = node as u64;
+        doc.meta(pid, None, "process_name")
+            .s("node ")
+            .n(pid)
+            .s("\"}}");
+        for c in members(&cores, node) {
+            doc.meta(pid, Some(c as u64), "thread_name")
+                .s("core ")
+                .n(c as u64)
+                .s("\"}}");
         }
-        for g in gpus.get(&node).map(Vec::as_slice).unwrap_or(&[]) {
-            let mut m = String::new();
-            push_meta(
-                &mut m,
-                node,
-                Some(gpu_tid(*g)),
-                "thread_name",
-                &format!("gpu {g}"),
-            );
-            evs.push(m);
+        for g in members(&gpus, node) {
+            doc.meta(pid, Some(gpu_tid(g)), "thread_name")
+                .s("gpu ")
+                .n(g as u64)
+                .s("\"}}");
         }
     }
-    {
-        let mut m = String::new();
-        push_meta(&mut m, master_pid, None, "process_name", "master scheduler");
-        evs.push(m);
-        let mut m = String::new();
-        push_meta(&mut m, master_pid, Some(0), "thread_name", "decisions");
-        evs.push(m);
-    }
+    doc.meta(master_pid, None, "process_name")
+        .s("master scheduler\"}}");
+    doc.meta(master_pid, Some(0), "thread_name")
+        .s("decisions\"}}");
 
     // Pass 2: spans and counters. Cluster-wide busy counters are the
     // running sum of the latest per-node gauges.
-    let mut node_busy_cores: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut node_busy_gpus: BTreeMap<usize, usize> = BTreeMap::new();
+    let mut node_busy = vec![(0usize, 0usize); master];
+    let (mut busy_cores_total, mut busy_gpus_total) = (0usize, 0usize);
     for ev in log.events() {
         match ev {
             TelemetryEvent::Stage {
@@ -154,76 +244,58 @@ pub fn to_chrome_trace(log: &TelemetryLog) -> String {
             } => {
                 let tid = match (gpu, state) {
                     (Some(g), TraceState::ParallelFraction | TraceState::CpuGpuComm) => gpu_tid(*g),
-                    _ => *core as u32,
+                    _ => *core as u64,
                 };
-                let mut s = String::new();
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"{}\",\"cat\":\"stage\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"task\":{}}}}}",
-                    state.label(),
-                    node,
-                    tid,
-                    us(t0.as_nanos()),
-                    us(t1.duration_since(*t0).as_nanos()),
-                    task.0
-                );
-                evs.push(s);
+                doc.event("{\"name\":\"")
+                    .s(state.label())
+                    .s("\",\"cat\":\"stage\",\"ph\":\"X\",\"pid\":")
+                    .n(*node as u64)
+                    .s(",\"tid\":")
+                    .n(tid)
+                    .s(",\"ts\":")
+                    .us(t0.as_nanos())
+                    .s(",\"dur\":")
+                    .us(t1.duration_since(*t0).as_nanos())
+                    .s(",\"args\":{\"task\":")
+                    .n(task.0 as u64)
+                    .s("}}");
             }
             TelemetryEvent::Decision(d) => {
-                let mut s = String::new();
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"place t{}\",\"cat\":\"decision\",\"ph\":\"X\",\"pid\":{},\"tid\":0,\"ts\":{},\"dur\":{},\"args\":{{\"chosen\":{},\"queue_depth\":{},\"candidates\":{}}}}}",
-                    d.task.0,
-                    master_pid,
-                    us(d.at.as_nanos()),
-                    us(d.sim_overhead.as_nanos()),
-                    d.chosen,
-                    d.queue_depth,
-                    d.candidates.len()
-                );
-                evs.push(s);
-                let mut s = String::new();
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"queue_depth\",\"ph\":\"C\",\"pid\":{},\"tid\":0,\"ts\":{},\"args\":{{\"ready\":{}}}}}",
-                    master_pid,
-                    us(d.at.as_nanos()),
-                    d.queue_depth
-                );
-                evs.push(s);
+                let at = d.at.as_nanos();
+                doc.event("{\"name\":\"place t")
+                    .n(d.task.0 as u64)
+                    .s("\",\"cat\":\"decision\",\"ph\":\"X\"")
+                    .track(master_pid, at)
+                    .s(",\"dur\":")
+                    .us(d.sim_overhead.as_nanos())
+                    .s(",\"args\":{\"chosen\":")
+                    .n(d.chosen as u64)
+                    .s(",\"queue_depth\":")
+                    .n(d.queue_depth as u64)
+                    .s(",\"candidates\":")
+                    .n(d.candidates.len() as u64)
+                    .s("}}");
+                doc.event("{\"name\":\"queue_depth\",\"ph\":\"C\"")
+                    .track(master_pid, at)
+                    .s(",\"args\":{\"ready\":")
+                    .n(d.queue_depth as u64)
+                    .s("}}");
             }
             TelemetryEvent::TaskDispatched { at, task, node, .. } => {
-                let name = task_names
-                    .get(task)
-                    .cloned()
-                    .unwrap_or_else(|| format!("t{}", task.0));
-                let mut s = String::new();
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"{}\",\"cat\":\"task\",\"ph\":\"b\",\"id\":{},\"pid\":{},\"tid\":0,\"ts\":{}}}",
-                    json_escape(&name),
-                    task.0,
-                    node,
-                    us(at.as_nanos())
-                );
-                evs.push(s);
+                doc.event("{\"name\":\"")
+                    .task_name(&task_names, *task)
+                    .s("\",\"cat\":\"task\",\"ph\":\"b\",\"id\":")
+                    .n(task.0 as u64)
+                    .track(*node as u64, at.as_nanos())
+                    .s("}");
             }
             TelemetryEvent::TaskCompleted { at, task, node } => {
-                let name = task_names
-                    .get(task)
-                    .cloned()
-                    .unwrap_or_else(|| format!("t{}", task.0));
-                let mut s = String::new();
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"{}\",\"cat\":\"task\",\"ph\":\"e\",\"id\":{},\"pid\":{},\"tid\":0,\"ts\":{}}}",
-                    json_escape(&name),
-                    task.0,
-                    node,
-                    us(at.as_nanos())
-                );
-                evs.push(s);
+                doc.event("{\"name\":\"")
+                    .task_name(&task_names, *task)
+                    .s("\",\"cat\":\"task\",\"ph\":\"e\",\"id\":")
+                    .n(task.0 as u64)
+                    .track(*node as u64, at.as_nanos())
+                    .s("}");
             }
             TelemetryEvent::NodeGauge {
                 at,
@@ -232,40 +304,30 @@ pub fn to_chrome_trace(log: &TelemetryLog) -> String {
                 busy_cores,
                 busy_gpus,
             } => {
-                node_busy_cores.insert(*node, *busy_cores);
-                node_busy_gpus.insert(*node, *busy_gpus);
-                let mut s = String::new();
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"ram_bytes\",\"ph\":\"C\",\"pid\":{},\"tid\":0,\"ts\":{},\"args\":{{\"bytes\":{}}}}}",
-                    node,
-                    us(at.as_nanos()),
-                    ram_used
-                );
-                evs.push(s);
-                let total_cores: usize = node_busy_cores.values().sum();
-                let total_gpus: usize = node_busy_gpus.values().sum();
-                let mut s = String::new();
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"cluster_busy\",\"ph\":\"C\",\"pid\":{},\"tid\":0,\"ts\":{},\"args\":{{\"cores\":{},\"gpus\":{}}}}}",
-                    master_pid,
-                    us(at.as_nanos()),
-                    total_cores,
-                    total_gpus
-                );
-                evs.push(s);
+                let at = at.as_nanos();
+                let (cores_was, gpus_was) =
+                    std::mem::replace(&mut node_busy[*node], (*busy_cores, *busy_gpus));
+                busy_cores_total = busy_cores_total - cores_was + busy_cores;
+                busy_gpus_total = busy_gpus_total - gpus_was + busy_gpus;
+                doc.event("{\"name\":\"ram_bytes\",\"ph\":\"C\"")
+                    .track(*node as u64, at)
+                    .s(",\"args\":{\"bytes\":")
+                    .n(*ram_used)
+                    .s("}}");
+                doc.event("{\"name\":\"cluster_busy\",\"ph\":\"C\"")
+                    .track(master_pid, at)
+                    .s(",\"args\":{\"cores\":")
+                    .n(busy_cores_total as u64)
+                    .s(",\"gpus\":")
+                    .n(busy_gpus_total as u64)
+                    .s("}}");
             }
             TelemetryEvent::FaultInjected { at, node, what } => {
-                let pid = node.unwrap_or(master_pid);
-                let mut s = String::new();
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"fault: {what}\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"p\",\"pid\":{},\"tid\":0,\"ts\":{}}}",
-                    pid,
-                    us(at.as_nanos())
-                );
-                evs.push(s);
+                doc.event("{\"name\":\"fault: ")
+                    .s(what)
+                    .s("\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"p\"")
+                    .track(node.unwrap_or(master) as u64, at.as_nanos())
+                    .s("}");
             }
             TelemetryEvent::TaskFailed {
                 at,
@@ -275,16 +337,15 @@ pub fn to_chrome_trace(log: &TelemetryLog) -> String {
                 reason,
                 ..
             } => {
-                let mut s = String::new();
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"failed t{} ({reason})\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"p\",\"pid\":{},\"tid\":0,\"ts\":{},\"args\":{{\"attempt\":{}}}}}",
-                    task.0,
-                    node,
-                    us(at.as_nanos()),
-                    attempt
-                );
-                evs.push(s);
+                doc.event("{\"name\":\"failed t")
+                    .n(task.0 as u64)
+                    .s(" (")
+                    .s(reason)
+                    .s(")\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"p\"")
+                    .track(*node as u64, at.as_nanos())
+                    .s(",\"args\":{\"attempt\":")
+                    .n(*attempt as u64)
+                    .s("}}");
             }
             TelemetryEvent::TaskRetry {
                 at,
@@ -292,53 +353,38 @@ pub fn to_chrome_trace(log: &TelemetryLog) -> String {
                 attempt,
                 until,
             } => {
-                let mut s = String::new();
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"backoff t{}\",\"cat\":\"recovery\",\"ph\":\"X\",\"pid\":{},\"tid\":0,\"ts\":{},\"dur\":{},\"args\":{{\"attempt\":{}}}}}",
-                    task.0,
-                    master_pid,
-                    us(at.as_nanos()),
-                    us(until.duration_since(*at).as_nanos()),
-                    attempt
-                );
-                evs.push(s);
+                doc.event("{\"name\":\"backoff t")
+                    .n(task.0 as u64)
+                    .s("\",\"cat\":\"recovery\",\"ph\":\"X\"")
+                    .track(master_pid, at.as_nanos())
+                    .s(",\"dur\":")
+                    .us(until.duration_since(*at).as_nanos())
+                    .s(",\"args\":{\"attempt\":")
+                    .n(*attempt as u64)
+                    .s("}}");
             }
             TelemetryEvent::TaskResubmitted {
                 at,
                 task,
                 from_node,
             } => {
-                let mut s = String::new();
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"resubmit t{}\",\"cat\":\"recovery\",\"ph\":\"i\",\"s\":\"p\",\"pid\":{},\"tid\":0,\"ts\":{},\"args\":{{\"from_node\":{}}}}}",
-                    task.0,
-                    master_pid,
-                    us(at.as_nanos()),
-                    from_node
-                );
-                evs.push(s);
+                doc.event("{\"name\":\"resubmit t")
+                    .n(task.0 as u64)
+                    .s("\",\"cat\":\"recovery\",\"ph\":\"i\",\"s\":\"p\"")
+                    .track(master_pid, at.as_nanos())
+                    .s(",\"args\":{\"from_node\":")
+                    .n(*from_node as u64)
+                    .s("}}");
             }
             TelemetryEvent::NodeDown { at, node } => {
-                let mut s = String::new();
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"node down\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"p\",\"pid\":{},\"tid\":0,\"ts\":{}}}",
-                    node,
-                    us(at.as_nanos())
-                );
-                evs.push(s);
+                doc.event("{\"name\":\"node down\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"p\"")
+                    .track(*node as u64, at.as_nanos())
+                    .s("}");
             }
             TelemetryEvent::NodeUp { at, node } => {
-                let mut s = String::new();
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"node up\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"p\",\"pid\":{},\"tid\":0,\"ts\":{}}}",
-                    node,
-                    us(at.as_nanos())
-                );
-                evs.push(s);
+                doc.event("{\"name\":\"node up\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"p\"")
+                    .track(*node as u64, at.as_nanos())
+                    .s("}");
             }
             TelemetryEvent::BlocksInvalidated {
                 at,
@@ -346,32 +392,28 @@ pub fn to_chrome_trace(log: &TelemetryLog) -> String {
                 count,
                 lost_versions,
             } => {
-                let mut s = String::new();
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"blocks invalidated\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"p\",\"pid\":{},\"tid\":0,\"ts\":{},\"args\":{{\"count\":{},\"lost_versions\":{}}}}}",
-                    node,
-                    us(at.as_nanos()),
-                    count,
-                    lost_versions
-                );
-                evs.push(s);
+                doc.event(
+                    "{\"name\":\"blocks invalidated\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"p\"",
+                )
+                .track(*node as u64, at.as_nanos())
+                .s(",\"args\":{\"count\":")
+                .n(*count)
+                .s(",\"lost_versions\":")
+                .n(*lost_versions)
+                .s("}}");
             }
-            _ => {}
+            TelemetryEvent::TaskReady { .. }
+            | TelemetryEvent::Transfer { .. }
+            | TelemetryEvent::CacheAccess { .. }
+            | TelemetryEvent::CacheEvicted { .. } => {}
         }
     }
 
-    let mut out = String::with_capacity(evs.iter().map(|e| e.len() + 6).sum::<usize>() + 64);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    for (i, e) in evs.iter().enumerate() {
-        out.push_str(e);
-        if i + 1 < evs.len() {
-            out.push(',');
-        }
-        out.push('\n');
+    if doc.events > 0 {
+        doc.s("\n");
     }
-    out.push_str("]}\n");
-    out
+    doc.s("]}\n");
+    doc.out
 }
 
 /// A [`TelemetrySink`] assembling a Chrome trace on [`finish`].

@@ -26,16 +26,16 @@
 //! profiles and diffs are byte-identical across thread counts and
 //! reruns for a fixed seed.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use gpuflow_sim::SimTime;
 
-use crate::task::TaskId;
+use crate::task::{TaskId, TaskTable};
 use crate::trace_analysis::{cpu_busy_gpu_idle_nanos_from_telemetry, critical_path_from_telemetry};
 use crate::workflow::Workflow;
 
-use super::event::{json_escape, TelemetryEvent};
+use super::event::{json_escape_into, TelemetryEvent};
 use super::histogram::{Histogram, HistogramDigest};
 use super::{OverheadReport, TelemetryLog};
 
@@ -145,6 +145,24 @@ pub struct RunProfile {
     pub critical_path: Vec<CriticalSegment>,
 }
 
+/// The type name of `task`; tasks the stream never dispatched count
+/// under the empty name.
+fn type_name<'a>(type_of: &TaskTable<&'a str>, task: TaskId) -> &'a str {
+    type_of.get(task).copied().unwrap_or_default()
+}
+
+/// The profile of type `ty`, added on first sight. The name is copied
+/// only then.
+fn type_entry<'m>(
+    per_type: &'m mut BTreeMap<String, TaskTypeProfile>,
+    ty: &str,
+) -> &'m mut TaskTypeProfile {
+    if !per_type.contains_key(ty) {
+        per_type.insert(ty.to_string(), TaskTypeProfile::default());
+    }
+    per_type.get_mut(ty).expect("inserted above")
+}
+
 impl RunProfile {
     /// Distills a profile from a run's telemetry stream.
     ///
@@ -175,10 +193,13 @@ impl RunProfile {
         };
 
         // One pass over the stream for types, durations, stages,
-        // transfers, caches, and the per-node busy sweep.
-        let mut type_of: HashMap<TaskId, String> = HashMap::new();
-        let mut dispatched_at: HashMap<TaskId, SimTime> = HashMap::new();
-        let mut durations: BTreeMap<String, Histogram> = BTreeMap::new();
+        // transfers, caches, and the per-node busy sweep. Per-task state
+        // lives in dense tables and type names are looked up as `&str`,
+        // so no event hashes an id or allocates a name.
+        let bound = workflow.tasks().len();
+        let mut type_of: TaskTable<&str> = TaskTable::new(bound);
+        let mut dispatched_at: TaskTable<SimTime> = TaskTable::new(bound);
+        let mut durations: BTreeMap<&str, Histogram> = BTreeMap::new();
         let mut node_events: BTreeMap<usize, Vec<(u64, i32)>> = BTreeMap::new();
         for ev in log.events() {
             match ev {
@@ -188,17 +209,16 @@ impl RunProfile {
                     task_type,
                     ..
                 } => {
-                    type_of.insert(*task, task_type.to_string());
+                    type_of.insert(*task, task_type.as_str());
                     // Overwritten on retry: the duration histogram
                     // digests the successful attempt.
                     dispatched_at.insert(*task, *at);
                 }
                 TelemetryEvent::TaskCompleted { at, task, node } => {
                     profile.tasks += 1;
-                    let ty = type_of.get(task).cloned().unwrap_or_default();
-                    if let Some(start) = dispatched_at.get(task) {
+                    if let Some(start) = dispatched_at.get(*task) {
                         durations
-                            .entry(ty)
+                            .entry(type_name(&type_of, *task))
                             .or_default()
                             .record(at.duration_since(*start).as_nanos());
                         node_events
@@ -214,8 +234,7 @@ impl RunProfile {
                     t1,
                     ..
                 } => {
-                    let ty = type_of.get(task).cloned().unwrap_or_default();
-                    let t = profile.per_type.entry(ty).or_default();
+                    let t = type_entry(&mut profile.per_type, type_name(&type_of, *task));
                     let dur = t1.duration_since(*t0).as_nanos();
                     use crate::trace::TraceState;
                     match state {
@@ -233,8 +252,7 @@ impl RunProfile {
                     t1,
                     ..
                 } => {
-                    let ty = type_of.get(task).cloned().unwrap_or_default();
-                    let t = profile.per_type.entry(ty).or_default();
+                    let t = type_entry(&mut profile.per_type, type_name(&type_of, *task));
                     t.transfer_bytes += bytes;
                     t.transfer_ns += t1.duration_since(*t0).as_nanos();
                 }
@@ -249,7 +267,7 @@ impl RunProfile {
             }
         }
         for (ty, hist) in durations {
-            profile.per_type.entry(ty).or_default().duration = hist.digest();
+            type_entry(&mut profile.per_type, ty).duration = hist.digest();
         }
 
         // Per-node busy intervals: merge overlapping task residencies.
@@ -281,10 +299,10 @@ impl RunProfile {
         let hops = critical_path_from_telemetry(workflow, log);
         let mut prev_end = 0u64;
         for hop in &hops {
-            let ty = type_of
-                .get(&hop.task)
-                .cloned()
-                .unwrap_or_else(|| format!("task{}", hop.task.0));
+            let ty = match type_of.get(hop.task) {
+                Some(ty) => ty.to_string(),
+                None => format!("task{}", hop.task.0),
+            };
             let end = hop.end.as_nanos();
             let span = end.saturating_sub(prev_end);
             prev_end = end;
@@ -887,11 +905,13 @@ impl RunDiff {
     /// Deterministic JSON rendering (machine-readable `--json` output).
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(1024);
+        s.push_str("{\"a\":\"");
+        json_escape_into(&mut s, &self.a_label);
+        s.push_str("\",\"b\":\"");
+        json_escape_into(&mut s, &self.b_label);
         let _ = write!(
             s,
-            "{{\"a\":\"{}\",\"b\":\"{}\",\"a_makespan_ns\":{},\"b_makespan_ns\":{},\"delta_ns\":{},\"conservative\":{},\"blame\":[",
-            json_escape(&self.a_label),
-            json_escape(&self.b_label),
+            "\",\"a_makespan_ns\":{},\"b_makespan_ns\":{},\"delta_ns\":{},\"conservative\":{},\"blame\":[",
             self.a_makespan_ns,
             self.b_makespan_ns,
             self.makespan_delta_ns(),
@@ -911,10 +931,11 @@ impl RunDiff {
         s.push_str("],\"types\":[");
         for (i, t) in self.types.iter().enumerate() {
             let sep = if i == 0 { "" } else { "," };
+            let _ = write!(s, "{sep}{{\"type\":\"");
+            json_escape_into(&mut s, &t.name);
             let _ = write!(
                 s,
-                "{sep}{{\"type\":\"{}\",\"a_count\":{},\"b_count\":{},\"a_sum_ns\":{},\"b_sum_ns\":{},\"delta_ns\":{}}}",
-                json_escape(&t.name),
+                "\",\"a_count\":{},\"b_count\":{},\"a_sum_ns\":{},\"b_sum_ns\":{},\"delta_ns\":{}}}",
                 t.a_count,
                 t.b_count,
                 t.a_sum_ns,
@@ -925,10 +946,11 @@ impl RunDiff {
         s.push_str("],\"path\":[");
         for (i, p) in self.path.iter().enumerate() {
             let sep = if i == 0 { "" } else { "," };
+            let _ = write!(s, "{sep}{{\"type\":\"");
+            json_escape_into(&mut s, &p.task_type);
             let _ = write!(
                 s,
-                "{sep}{{\"type\":\"{}\",\"a_hops\":{},\"b_hops\":{},\"a_span_ns\":{},\"b_span_ns\":{},\"change\":\"{}\"}}",
-                json_escape(&p.task_type),
+                "\",\"a_hops\":{},\"b_hops\":{},\"a_span_ns\":{},\"b_span_ns\":{},\"change\":\"{}\"}}",
                 p.a_hops,
                 p.b_hops,
                 p.a_span_ns,
@@ -939,13 +961,13 @@ impl RunDiff {
         s.push_str("],\"factor_changes\":[");
         for (i, (k, a, b)) in self.factor_changes.iter().enumerate() {
             let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                s,
-                "{sep}{{\"factor\":\"{}\",\"a\":\"{}\",\"b\":\"{}\"}}",
-                json_escape(k),
-                json_escape(a),
-                json_escape(b)
-            );
+            let _ = write!(s, "{sep}{{\"factor\":\"");
+            json_escape_into(&mut s, k);
+            s.push_str("\",\"a\":\"");
+            json_escape_into(&mut s, a);
+            s.push_str("\",\"b\":\"");
+            json_escape_into(&mut s, b);
+            s.push_str("\"}");
         }
         s.push_str("]}");
         s

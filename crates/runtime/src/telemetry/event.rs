@@ -326,10 +326,14 @@ impl TelemetryEvent {
             } => {
                 let _ = write!(
                     s,
-                    "{{\"ev\":\"dispatch\",\"t\":{},\"task\":{},\"type\":\"{}\",\"node\":{},\"core\":{},\"cores\":{},\"gpu\":{}}}",
+                    "{{\"ev\":\"dispatch\",\"t\":{},\"task\":{},\"type\":\"",
                     at.as_nanos(),
                     task.0,
-                    json_escape(task_type),
+                );
+                json_escape_into(&mut s, task_type);
+                let _ = write!(
+                    s,
+                    "\",\"node\":{},\"core\":{},\"cores\":{},\"gpu\":{}}}",
                     node,
                     core,
                     cores,
@@ -545,23 +549,32 @@ impl std::fmt::Display for OptUsize {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// Appends `s` to `out`, escaped for embedding in a JSON string
+/// literal: quote, backslash, `\n`, `\r` and `\t` get their short
+/// escapes, other control characters `\u00XX`. This is the runtime's
+/// one JSON string escaper; every JSON export goes through it.
+pub fn json_escape_into(out: &mut String, s: &str) {
+    // Every byte that needs escaping is ASCII, so the unescaped runs
+    // between them are whole UTF-8 sequences and are copied in bulk.
+    let mut run_start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run_start..i]);
+        run_start = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
-    out
+    out.push_str(&s[run_start..]);
 }
 
 #[cfg(test)]
@@ -621,10 +634,23 @@ mod tests {
         assert!(mk(Some(2)).to_json().contains("\"gpu\":2"));
     }
 
+    fn escaped(s: &str) -> String {
+        let mut out = String::from("<");
+        json_escape_into(&mut out, s);
+        out
+    }
+
     #[test]
     fn escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
-        assert_eq!(json_escape("plain"), "plain");
+        assert_eq!(escaped("a\"b\\c\n"), "<a\\\"b\\\\c\\n");
+        assert_eq!(escaped("plain"), "<plain");
+        assert_eq!(escaped("\r\t\u{1}\u{1f}"), "<\\r\\t\\u0001\\u001f");
+        assert_eq!(
+            escaped("é\"ü\u{7f}"),
+            "<é\\\"ü\u{7f}",
+            "non-ASCII passes through"
+        );
+        assert_eq!(escaped(""), "<");
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub use diff::{
     BucketDelta, CriticalSegment, PathChange, PathDelta, ResourceProfile, RunDiff, RunProfile,
     TaskTypeProfile, TypeDelta,
 };
-pub use event::{CandidateScore, LinkKind, SchedulerDecision, TelemetryEvent};
+pub use event::{json_escape_into, CandidateScore, LinkKind, SchedulerDecision, TelemetryEvent};
 pub use flame::to_collapsed;
 pub use histogram::{Histogram, HistogramDigest};
 pub use metrics::{

@@ -20,7 +20,7 @@
 //! no failure events, so `recovery` is identically zero and the report
 //! reduces to the original four-bucket decomposition.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use gpuflow_sim::SimDuration;
@@ -76,6 +76,79 @@ pub struct OverheadReport {
     pub idle_ns: u64,
 }
 
+/// The `(t, category, ±1)` depth deltas of the sweep, each packed into
+/// one integer whose order is the tuple order: the instant, then the
+/// category, then closes before opens.
+///
+/// Every instant is clamped to the makespan first. That is exact: once
+/// the sweep reaches the makespan it attributes no more time, so the
+/// order among deltas at or past it cannot matter. A clamped instant
+/// needs as many bits as the makespan, so makespans of up to
+/// [`SweepKeys::NARROW_MAX_NS`] (about 73 years) use 64-bit keys and
+/// longer ones 128-bit keys; no instant is ever truncated.
+enum SweepKeys {
+    Narrow { keys: Vec<u64>, makespan_ns: u64 },
+    Wide { keys: Vec<u128>, makespan_ns: u64 },
+}
+
+impl SweepKeys {
+    /// Bits below the instant: two for the category, one for the sign.
+    const LOW_BITS: u32 = 3;
+
+    /// Longest makespan whose instants fit a 64-bit key.
+    const NARROW_MAX_NS: u64 = u64::MAX >> Self::LOW_BITS;
+
+    fn for_makespan(makespan_ns: u64) -> Self {
+        if makespan_ns <= Self::NARROW_MAX_NS {
+            SweepKeys::Narrow {
+                keys: Vec::new(),
+                makespan_ns,
+            }
+        } else {
+            SweepKeys::Wide {
+                keys: Vec::new(),
+                makespan_ns,
+            }
+        }
+    }
+
+    /// Records `[t0, t1)` of category `cat` (0..4).
+    fn interval(&mut self, t0: u64, t1: u64, cat: u8) {
+        let low = |open: bool| u64::from(cat) << 1 | u64::from(open);
+        match self {
+            SweepKeys::Narrow { keys, makespan_ns } => keys.extend([
+                t0.min(*makespan_ns) << Self::LOW_BITS | low(true),
+                t1.min(*makespan_ns) << Self::LOW_BITS | low(false),
+            ]),
+            SweepKeys::Wide { keys, makespan_ns } => keys.extend([
+                u128::from(t0.min(*makespan_ns)) << Self::LOW_BITS | u128::from(low(true)),
+                u128::from(t1.min(*makespan_ns)) << Self::LOW_BITS | u128::from(low(false)),
+            ]),
+        }
+    }
+
+    /// Calls `f(t, category, opens)` for every delta in sweep order.
+    fn sweep(self, mut f: impl FnMut(u64, usize, bool)) {
+        let mask = (1u64 << Self::LOW_BITS) - 1;
+        let mut emit = |t: u64, low: u64| f(t, (low >> 1) as usize, low & 1 == 1);
+        match self {
+            SweepKeys::Narrow { mut keys, .. } => {
+                keys.sort();
+                for k in keys {
+                    emit(k >> Self::LOW_BITS, k & mask);
+                }
+            }
+            SweepKeys::Wide { mut keys, .. } => {
+                keys.sort();
+                for k in keys {
+                    // The instant was a u64 before the shift.
+                    emit((k >> Self::LOW_BITS) as u64, k as u64 & mask);
+                }
+            }
+        }
+    }
+}
+
 impl OverheadReport {
     /// Decomposes `makespan` seconds using the stage and decision
     /// events of `log`.
@@ -83,7 +156,7 @@ impl OverheadReport {
         // Pre-pass: the [dispatch, failure] windows of attempts that
         // were later lost. Stage/transfer intervals fully inside such a
         // window are wasted work — reclassified as recovery.
-        let mut failed_windows: HashMap<u32, Vec<(u64, u64)>> = HashMap::new();
+        let mut failed_windows: BTreeMap<u32, Vec<(u64, u64)>> = BTreeMap::new();
         let mut task_failures = 0usize;
         let mut retries = 0usize;
         for ev in log.events() {
@@ -105,7 +178,8 @@ impl OverheadReport {
         };
         // Category depth deltas on the nanosecond timeline:
         // 0 = compute, 1 = data movement, 2 = master, 3 = recovery.
-        let mut deltas: Vec<(u64, usize, i32)> = Vec::new();
+        let makespan_ns = SimDuration::from_secs_f64(makespan).as_nanos();
+        let mut deltas = SweepKeys::for_makespan(makespan_ns);
         let mut decisions = 0usize;
         let mut master_sim_total = 0.0f64;
         let mut master_host_nanos = 0u64;
@@ -128,8 +202,7 @@ impl OverheadReport {
                             | TraceState::CpuGpuComm => 1,
                         }
                     };
-                    deltas.push((t0.as_nanos(), cat, 1));
-                    deltas.push((t1.as_nanos(), cat, -1));
+                    deltas.interval(t0.as_nanos(), t1.as_nanos(), cat);
                 }
                 TelemetryEvent::Transfer { task, t0, t1, .. } => {
                     // Transfers are already covered by their stage
@@ -140,34 +213,28 @@ impl OverheadReport {
                     } else {
                         1
                     };
-                    deltas.push((t0.as_nanos(), cat, 1));
-                    deltas.push((t1.as_nanos(), cat, -1));
+                    deltas.interval(t0.as_nanos(), t1.as_nanos(), cat);
                 }
                 TelemetryEvent::Decision(d) => {
                     decisions += 1;
                     master_sim_total += d.sim_overhead.as_secs_f64();
                     master_host_nanos += d.host_nanos;
-                    deltas.push((d.at.as_nanos(), 2, 1));
-                    deltas.push(((d.at + d.sim_overhead).as_nanos(), 2, -1));
+                    deltas.interval(d.at.as_nanos(), (d.at + d.sim_overhead).as_nanos(), 2);
                 }
                 TelemetryEvent::TaskRetry { at, until, .. } => {
                     retries += 1;
-                    deltas.push((at.as_nanos(), 3, 1));
-                    deltas.push((until.as_nanos(), 3, -1));
+                    deltas.interval(at.as_nanos(), until.as_nanos(), 3);
                 }
                 _ => {}
             }
         }
-        deltas.sort();
-        let makespan_ns = SimDuration::from_secs_f64(makespan).as_nanos();
         let mut depth = [0i64; 4];
         let mut acc_ns = [0u64; 4]; // compute, data, master, recovery
         let mut idle_ns = 0u64;
         let mut prev = 0u64;
-        for (t, cat, d) in deltas {
-            let t_clamped = t.min(makespan_ns);
-            if t_clamped > prev {
-                let span = t_clamped - prev;
+        deltas.sweep(|t, cat, open| {
+            if t > prev {
+                let span = t - prev;
                 if depth[0] > 0 {
                     acc_ns[0] += span;
                 } else if depth[1] > 0 {
@@ -179,13 +246,11 @@ impl OverheadReport {
                 } else {
                     idle_ns += span;
                 }
-                prev = t_clamped;
+                prev = t;
             }
-            depth[cat] += d as i64;
-        }
-        if makespan_ns > prev {
-            idle_ns += makespan_ns.saturating_sub(prev);
-        }
+            depth[cat] += if open { 1 } else { -1 };
+        });
+        idle_ns += makespan_ns.saturating_sub(prev);
         OverheadReport {
             makespan,
             compute: acc_ns[0] as f64 / 1e9,

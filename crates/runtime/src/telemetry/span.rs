@@ -17,17 +17,16 @@
 //! and the collapsed-stack form in [`super::flame`]) are byte-identical
 //! at any `--threads` setting.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use gpuflow_chaos::mix64;
 
-use crate::task::TaskId;
+use crate::task::{TaskId, TaskTable};
 use crate::trace::TraceState;
 use crate::trace_analysis::critical_path_from_telemetry;
 use crate::workflow::Workflow;
 
-use super::event::{json_escape, LinkKind, TelemetryEvent};
+use super::event::{json_escape_into, LinkKind, TelemetryEvent};
 use super::TelemetryLog;
 
 /// Seed folded into every deterministic span/trace identifier.
@@ -84,7 +83,7 @@ impl SpanPhase {
 
     /// Canonical index (position in [`SpanPhase::ALL`]).
     pub fn index(self) -> usize {
-        SpanPhase::ALL.iter().position(|p| *p == self).unwrap_or(0)
+        self as usize
     }
 }
 
@@ -151,6 +150,37 @@ impl TaskSpans {
     }
 }
 
+/// What [`SpanForest::from_telemetry`] accumulates for one task.
+#[derive(Debug, Default)]
+struct TaskFold {
+    /// Instant the task last became ready, until its dispatch.
+    ready_at: Option<u64>,
+    /// The attempt now running (0 = first run).
+    attempt: u32,
+    /// Phase spans in stream order.
+    phases: Vec<PhaseSpan>,
+    /// Earliest observable instant.
+    start: Option<u64>,
+    /// Completion instant and node.
+    end: Option<(u64, usize)>,
+}
+
+impl TaskFold {
+    fn note_start(&mut self, at: u64) {
+        self.start = Some(self.start.map_or(at, |s| s.min(at)));
+    }
+
+    /// Appends a `phase` span of the current attempt.
+    fn push(&mut self, phase: SpanPhase, t0_ns: u64, t1_ns: u64) {
+        self.phases.push(PhaseSpan {
+            phase,
+            t0_ns,
+            t1_ns,
+            attempt: self.attempt,
+        });
+    }
+}
+
 /// The complete causal span forest of one run.
 #[derive(Debug, Clone, Default)]
 pub struct SpanForest {
@@ -169,34 +199,19 @@ impl SpanForest {
     /// an end is not a span tree.
     pub fn from_telemetry(workflow: &Workflow, log: &TelemetryLog) -> SpanForest {
         let n = workflow.tasks().len();
-        let mut ready_at: HashMap<TaskId, u64> = HashMap::new();
-        let mut attempt: HashMap<TaskId, u32> = HashMap::new();
-        let mut phase_map: HashMap<TaskId, Vec<PhaseSpan>> = HashMap::new();
-        let mut start_of: HashMap<TaskId, u64> = HashMap::new();
-        let mut end_of: HashMap<TaskId, (u64, usize)> = HashMap::new();
-
-        let note_start = |start_of: &mut HashMap<TaskId, u64>, task: TaskId, at: u64| {
-            let e = start_of.entry(task).or_insert(at);
-            if at < *e {
-                *e = at;
-            }
-        };
+        let mut folds: TaskTable<TaskFold> = TaskTable::new(n);
 
         for ev in log.events() {
             match ev {
                 TelemetryEvent::TaskReady { at, task } => {
-                    ready_at.insert(*task, at.as_nanos());
-                    note_start(&mut start_of, *task, at.as_nanos());
+                    let f = folds.get_or_insert_with(*task, TaskFold::default);
+                    f.ready_at = Some(at.as_nanos());
+                    f.note_start(at.as_nanos());
                 }
                 TelemetryEvent::TaskDispatched { at, task, .. } => {
-                    let a = *attempt.get(task).unwrap_or(&0);
-                    if let Some(t0) = ready_at.remove(task) {
-                        phase_map.entry(*task).or_default().push(PhaseSpan {
-                            phase: SpanPhase::QueueWait,
-                            t0_ns: t0,
-                            t1_ns: at.as_nanos(),
-                            attempt: a,
-                        });
+                    let f = folds.get_or_insert_with(*task, TaskFold::default);
+                    if let Some(t0) = f.ready_at.take() {
+                        f.push(SpanPhase::QueueWait, t0, at.as_nanos());
                     }
                 }
                 TelemetryEvent::Stage {
@@ -211,14 +226,9 @@ impl SpanForest {
                         TraceState::Serialize => SpanPhase::Serialize,
                         _ => SpanPhase::Compute,
                     };
-                    let a = *attempt.get(task).unwrap_or(&0);
-                    note_start(&mut start_of, *task, t0.as_nanos());
-                    phase_map.entry(*task).or_default().push(PhaseSpan {
-                        phase,
-                        t0_ns: t0.as_nanos(),
-                        t1_ns: t1.as_nanos(),
-                        attempt: a,
-                    });
+                    let f = folds.get_or_insert_with(*task, TaskFold::default);
+                    f.note_start(t0.as_nanos());
+                    f.push(phase, t0.as_nanos(), t1.as_nanos());
                 }
                 TelemetryEvent::Transfer {
                     task, link, t0, t1, ..
@@ -227,19 +237,14 @@ impl SpanForest {
                         LinkKind::StorageRead | LinkKind::HostToDevice => SpanPhase::InputFetch,
                         LinkKind::StorageWrite | LinkKind::DeviceToHost => SpanPhase::Writeback,
                     };
-                    let a = *attempt.get(task).unwrap_or(&0);
-                    note_start(&mut start_of, *task, t0.as_nanos());
-                    phase_map.entry(*task).or_default().push(PhaseSpan {
-                        phase,
-                        t0_ns: t0.as_nanos(),
-                        t1_ns: t1.as_nanos(),
-                        attempt: a,
-                    });
+                    let f = folds.get_or_insert_with(*task, TaskFold::default);
+                    f.note_start(t0.as_nanos());
+                    f.push(phase, t0.as_nanos(), t1.as_nanos());
                 }
                 TelemetryEvent::TaskFailed {
                     task, attempt: a, ..
                 } => {
-                    attempt.insert(*task, a + 1);
+                    folds.get_or_insert_with(*task, TaskFold::default).attempt = a + 1;
                 }
                 TelemetryEvent::TaskRetry {
                     at,
@@ -247,24 +252,23 @@ impl SpanForest {
                     attempt: a,
                     until,
                 } => {
-                    phase_map.entry(*task).or_default().push(PhaseSpan {
-                        phase: SpanPhase::RetryBackoff,
-                        t0_ns: at.as_nanos(),
-                        t1_ns: until.as_nanos(),
-                        attempt: *a,
-                    });
+                    folds
+                        .get_or_insert_with(*task, TaskFold::default)
+                        .phases
+                        .push(PhaseSpan {
+                            phase: SpanPhase::RetryBackoff,
+                            t0_ns: at.as_nanos(),
+                            t1_ns: until.as_nanos(),
+                            attempt: *a,
+                        });
                 }
                 TelemetryEvent::TaskResubmitted { at, task, .. } => {
-                    let a = *attempt.get(task).unwrap_or(&0);
-                    phase_map.entry(*task).or_default().push(PhaseSpan {
-                        phase: SpanPhase::Resubmit,
-                        t0_ns: at.as_nanos(),
-                        t1_ns: at.as_nanos(),
-                        attempt: a,
-                    });
+                    let f = folds.get_or_insert_with(*task, TaskFold::default);
+                    f.push(SpanPhase::Resubmit, at.as_nanos(), at.as_nanos());
                 }
                 TelemetryEvent::TaskCompleted { at, task, node } => {
-                    end_of.insert(*task, (at.as_nanos(), *node));
+                    folds.get_or_insert_with(*task, TaskFold::default).end =
+                        Some((at.as_nanos(), *node));
                 }
                 _ => {}
             }
@@ -281,24 +285,28 @@ impl SpanForest {
         };
 
         let types = workflow.task_types();
-        let mut tasks: Vec<TaskSpans> = Vec::with_capacity(end_of.len());
+        let end_of =
+            |folds: &TaskTable<TaskFold>, task: TaskId| folds.get(task).and_then(|f| f.end);
+        let mut tasks: Vec<TaskSpans> = Vec::with_capacity(n);
         for id in 0..n as u32 {
             let task = TaskId(id);
-            let Some(&(end_ns, node)) = end_of.get(&task) else {
+            let Some((end_ns, node)) = end_of(&folds, task) else {
                 continue;
             };
-            let mut ph = phase_map.remove(&task).unwrap_or_default();
-            ph.sort_by_key(|p| (p.t0_ns, p.phase.index(), p.t1_ns, p.attempt));
-            let start_ns = *start_of.get(&task).unwrap_or(&end_ns);
             // Latest-finishing completed predecessor, ties to the higher
             // id — must match `critical_path_walk_back` exactly so the
             // causal chain from the last task IS the critical path.
             let causal_parent = workflow
                 .predecessors(task)
                 .iter()
-                .filter_map(|p| end_of.get(p).map(|(e, _)| (*e, *p)))
+                .filter_map(|p| end_of(&folds, *p).map(|(e, _)| (e, *p)))
                 .max_by_key(|(e, t)| (*e, *t))
                 .map(|(_, t)| t);
+            let (mut ph, start_ns) = match folds.get_mut(task) {
+                Some(f) => (std::mem::take(&mut f.phases), f.start.unwrap_or(end_ns)),
+                None => (Vec::new(), end_ns),
+            };
+            ph.sort_by_key(|p| (p.t0_ns, p.phase.index(), p.t1_ns, p.attempt));
             tasks.push(TaskSpans {
                 task,
                 task_type: types[workflow.type_id(task) as usize].to_string(),
@@ -362,26 +370,24 @@ impl SpanForest {
                 Some(p) => format!("\"parentSpanId\":\"{p:016x}\","),
                 None => String::new(),
             };
-            let mut attr_items = String::new();
-            for (i, (k, v)) in attrs.iter().enumerate() {
-                if i > 0 {
-                    attr_items.push(',');
-                }
-                let _ = write!(
-                    attr_items,
-                    "{{\"key\":\"{}\",\"value\":{{\"stringValue\":\"{}\"}}}}",
-                    k,
-                    json_escape(v)
-                );
-            }
             let _ = write!(
                 buf,
-                "{{\"traceId\":\"{trace_id}\",\"spanId\":\"{id:016x}\",{parent_field}\
-                 \"name\":\"{}\",\"kind\":1,\
-                 \"startTimeUnixNano\":\"{t0}\",\"endTimeUnixNano\":\"{t1}\",\
-                 \"attributes\":[{attr_items}]}}",
-                json_escape(name)
+                "{{\"traceId\":\"{trace_id}\",\"spanId\":\"{id:016x}\",{parent_field}\"name\":\""
             );
+            json_escape_into(buf, name);
+            let _ = write!(
+                buf,
+                "\",\"kind\":1,\"startTimeUnixNano\":\"{t0}\",\"endTimeUnixNano\":\"{t1}\",\"attributes\":["
+            );
+            for (i, (k, v)) in attrs.iter().enumerate() {
+                if i > 0 {
+                    buf.push(',');
+                }
+                let _ = write!(buf, "{{\"key\":\"{k}\",\"value\":{{\"stringValue\":\"");
+                json_escape_into(buf, v);
+                buf.push_str("\"}}");
+            }
+            buf.push_str("]}");
         };
 
         for t in &self.tasks {

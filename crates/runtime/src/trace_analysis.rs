@@ -14,13 +14,13 @@
 //! * critical-path extraction (which chain of tasks determines the
 //!   makespan).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use gpuflow_cluster::ProcessorKind;
 use gpuflow_sim::SimTime;
 
 use crate::metrics::TaskRecord;
-use crate::task::TaskId;
+use crate::task::{TaskId, TaskTable};
 use crate::telemetry::{TelemetryEvent, TelemetryLog};
 use crate::trace::{Trace, TraceState};
 use crate::workflow::Workflow;
@@ -174,7 +174,10 @@ pub struct CriticalHop {
 /// finished last through, at each step, the latest-finishing predecessor.
 /// The returned path is in execution order (first task first).
 pub fn critical_path(workflow: &Workflow, records: &[TaskRecord]) -> Vec<CriticalHop> {
-    let end_of: HashMap<TaskId, SimTime> = records.iter().map(|r| (r.task, r.end)).collect();
+    let mut end_of = TaskTable::new(workflow.tasks().len());
+    for r in records {
+        end_of.insert(r.task, r.end);
+    }
     critical_path_walk_back(workflow, &end_of)
 }
 
@@ -182,12 +185,8 @@ pub fn critical_path(workflow: &Workflow, records: &[TaskRecord]) -> Vec<Critica
 /// latest-finishing task, repeatedly hop to the latest-finishing
 /// predecessor. Ties break on the higher [`TaskId`], so the record- and
 /// telemetry-fed variants agree hop for hop.
-fn critical_path_walk_back(
-    workflow: &Workflow,
-    end_of: &HashMap<TaskId, SimTime>,
-) -> Vec<CriticalHop> {
-    // lint: allow(D1, max key tie-breaks on the task id so the selection is order-total)
-    let Some((&last, &last_end)) = end_of.iter().max_by_key(|(t, at)| (**at, **t)) else {
+fn critical_path_walk_back(workflow: &Workflow, end_of: &TaskTable<SimTime>) -> Vec<CriticalHop> {
+    let Some((last, &last_end)) = end_of.iter().max_by_key(|&(t, at)| (*at, t)) else {
         return Vec::new();
     };
     let mut path = vec![CriticalHop {
@@ -199,7 +198,7 @@ fn critical_path_walk_back(
         let pred = workflow
             .predecessors(current)
             .iter()
-            .filter_map(|p| end_of.get(p).map(|end| (*p, *end)))
+            .filter_map(|p| end_of.get(*p).map(|end| (*p, *end)))
             .max_by_key(|&(task, end)| (end, task));
         match pred {
             Some((task, end)) => {
@@ -246,7 +245,9 @@ pub fn cpu_busy_gpu_idle_from_telemetry(log: &TelemetryLog, cpu_threshold: usize
 /// [`cpu_busy_gpu_idle_from_telemetry`] on the integer nanosecond grid,
 /// for exact profile digests ([`crate::telemetry::RunProfile`]).
 pub fn cpu_busy_gpu_idle_nanos_from_telemetry(log: &TelemetryLog, cpu_threshold: usize) -> u64 {
-    let mut open: HashMap<crate::task::TaskId, (i32, bool)> = HashMap::new();
+    // A full stream dispatches every task, so its ids lie below its
+    // length; the table spills anything else.
+    let mut open: TaskTable<(i32, bool)> = TaskTable::new(log.len());
     let mut events: Vec<(u64, i32, i32)> = Vec::new();
     for ev in log.events() {
         match ev {
@@ -266,7 +267,7 @@ pub fn cpu_busy_gpu_idle_nanos_from_telemetry(log: &TelemetryLog, cpu_threshold:
                 }
             }
             TelemetryEvent::TaskCompleted { at, task, .. } => {
-                if let Some((cores, on_gpu)) = open.remove(task) {
+                if let Some((cores, on_gpu)) = open.remove(*task) {
                     if on_gpu {
                         events.push((at.as_nanos(), 0, -1));
                     } else {
@@ -298,7 +299,7 @@ pub fn cpu_busy_gpu_idle_nanos_from_telemetry(log: &TelemetryLog, cpu_threshold:
 /// walk-back over per-task completion times, so they agree hop for hop
 /// on the same run.
 pub fn critical_path_from_telemetry(workflow: &Workflow, log: &TelemetryLog) -> Vec<CriticalHop> {
-    let mut end_of: HashMap<TaskId, SimTime> = HashMap::new();
+    let mut end_of = TaskTable::new(workflow.tasks().len());
     for ev in log.events() {
         if let TelemetryEvent::TaskCompleted { at, task, .. } = ev {
             end_of.insert(*task, *at);
