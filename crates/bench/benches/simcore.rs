@@ -41,9 +41,11 @@ fn bench_fair_share_link(c: &mut Criterion) {
                     now += SimDuration::from_micros(10);
                 }
                 let mut done = 0usize;
+                let mut finished = Vec::new();
                 while let Some(t) = link.next_completion(now) {
                     now = t.max(now);
-                    done += link.harvest(now).len();
+                    link.harvest(now, &mut finished);
+                    done += finished.len();
                 }
                 black_box(done)
             })
@@ -69,9 +71,11 @@ fn bench_grouped_link(c: &mut Criterion) {
                         }
                     }
                     let mut done = 0usize;
+                    let mut finished = Vec::new();
                     while let Some(t) = link.next_completion(now) {
                         now = t.max(now);
-                        done += link.harvest(now).len();
+                        link.harvest(now, &mut finished);
+                        done += finished.len();
                     }
                     black_box(done)
                 })

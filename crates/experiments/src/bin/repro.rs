@@ -75,13 +75,7 @@ use gpuflow_experiments::{
 /// Runs the perf-regression gate (`repro gate [--update] [--baselines
 /// DIR] [--tolerance PCT] [--report FILE]`); exits nonzero on failure.
 fn run_gate(ctx: &Context, args: &[String]) {
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let dir = value_of("--baselines").unwrap_or_else(|| "artifacts/baselines".to_string());
+    let dir = flag_value(args, "--baselines").unwrap_or_else(|| "artifacts/baselines".to_string());
     let dir = std::path::Path::new(&dir);
     if args.iter().any(|a| a == "--update") {
         let written = gate::update(ctx, dir).expect("write baseline profiles");
@@ -95,7 +89,7 @@ fn run_gate(ctx: &Context, args: &[String]) {
         );
         return;
     }
-    let tolerance = value_of("--tolerance")
+    let tolerance = flag_value(args, "--tolerance")
         .map(|v| v.parse::<f64>().expect("--tolerance takes a percentage"))
         .unwrap_or(gate::DEFAULT_TOLERANCE_PCT);
     let report = gate::check(ctx, dir, tolerance);
@@ -110,7 +104,7 @@ fn run_gate(ctx: &Context, args: &[String]) {
         }
     }
     println!("{text}");
-    if let Some(path) = value_of("--report") {
+    if let Some(path) = flag_value(args, "--report") {
         std::fs::write(&path, &text).expect("write gate report");
         eprintln!("[gate report -> {path}]");
     }
@@ -124,20 +118,14 @@ fn run_gate(ctx: &Context, args: &[String]) {
 /// measured in host ns per simulated task. With `--check`, compares
 /// against the committed ceilings and exits nonzero on a breach.
 fn run_perf(args: &[String]) {
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
     let full = args.iter().any(|a| a == "--full");
-    let tasks = value_of("--tasks")
+    let tasks = flag_value(args, "--tasks")
         .map(|v| v.parse::<usize>().expect("--tasks takes a number"))
         .unwrap_or(if full { 1_000_000 } else { 100_000 });
     let results = stress::run_suite(tasks);
     println!("{}", stress::render(&results));
     if args.iter().any(|a| a == "--check") {
-        let path = value_of("--thresholds")
+        let path = flag_value(args, "--thresholds")
             .unwrap_or_else(|| "artifacts/baselines/perf_ns_per_task.txt".to_string());
         match stress::check(&results, std::path::Path::new(&path)) {
             Ok(verdicts) => println!("perf check: PASS\n{verdicts}"),
@@ -162,12 +150,6 @@ fn run_perf(args: &[String]) {
 /// per-job output fingerprints plus the final Prometheus exposition —
 /// is bit-identical to the live daemon's `ctl report` output.
 fn run_replay_from_log(path: &str, args: &[String]) {
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("repro replay: cannot read {path}: {e}");
         std::process::exit(2);
@@ -178,7 +160,7 @@ fn run_replay_from_log(path: &str, args: &[String]) {
     });
     let report = core.report();
     print!("{report}");
-    if let Some(out) = value_of("--out") {
+    if let Some(out) = flag_value(args, "--out") {
         std::fs::write(&out, &report).expect("write replay report");
         eprintln!("[replay -> {out}]");
     }
@@ -208,30 +190,24 @@ fn run_replay_from_log(path: &str, args: &[String]) {
 }
 
 fn run_replay(args: &[String]) {
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    if let Some(path) = value_of("--from-log") {
+    if let Some(path) = flag_value(args, "--from-log") {
         run_replay_from_log(&path, args);
         return;
     }
     let mut spec = replay::ReplaySpec::default();
-    if let Some(v) = value_of("--seed") {
+    if let Some(v) = flag_value(args, "--seed") {
         spec.seed = v.parse().expect("--seed takes an integer");
     }
-    if let Some(v) = value_of("--jobs") {
+    if let Some(v) = flag_value(args, "--jobs") {
         spec.jobs = v.parse().expect("--jobs takes a number");
     }
-    if let Some(v) = value_of("--tenants") {
+    if let Some(v) = flag_value(args, "--tenants") {
         spec.tenants = v.parse().expect("--tenants takes a number");
     }
-    if let Some(v) = value_of("--horizon") {
+    if let Some(v) = flag_value(args, "--horizon") {
         spec.horizon_secs = v.parse().expect("--horizon takes seconds");
     }
-    if let Some(v) = value_of("--interval") {
+    if let Some(v) = flag_value(args, "--interval") {
         spec.interval_secs = v.parse().expect("--interval takes seconds");
     }
     if args.iter().any(|a| a == "--chaos") {
@@ -240,7 +216,7 @@ fn run_replay(args: &[String]) {
     let report = replay::run(&spec);
     let text = report.render();
     println!("{text}");
-    if let Some(path) = value_of("--out") {
+    if let Some(path) = flag_value(args, "--out") {
         std::fs::write(&path, &text).expect("write replay artifact");
         eprintln!("[replay -> {path}]");
     }
@@ -268,23 +244,17 @@ fn run_replay(args: &[String]) {
 /// `--stress`, a million-task DAG (by default) checks the sampler's
 /// documented size bound and 100% critical-path retention instead.
 fn run_spans(args: &[String]) {
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let rate = value_of("--rate")
+    let rate = flag_value(args, "--rate")
         .map(|v| v.parse::<u64>().expect("--rate takes ppm"))
         .unwrap_or(spans::DEFAULT_RATE_PPM);
-    let span_seed = value_of("--span-seed")
+    let span_seed = flag_value(args, "--span-seed")
         .map(|v| v.parse::<u64>().expect("--span-seed takes an integer"))
         .unwrap_or(spans::DEFAULT_SAMPLER_SEED);
     if args.iter().any(|a| a == "--stress") {
-        let tasks = value_of("--tasks")
+        let tasks = flag_value(args, "--tasks")
             .map(|v| v.parse::<usize>().expect("--tasks takes a number"))
             .unwrap_or(1_000_000);
-        let shape = value_of("--shape")
+        let shape = flag_value(args, "--shape")
             .map(|v| stress::Shape::parse(&v).expect("--shape takes wide|stencil|tree"))
             .unwrap_or(stress::Shape::Wide);
         let verdict = spans::run_stress(shape, tasks, rate, span_seed);
@@ -300,34 +270,35 @@ fn run_spans(args: &[String]) {
         chaos: true,
         ..replay::ReplaySpec::default()
     };
-    if let Some(v) = value_of("--seed") {
+    if let Some(v) = flag_value(args, "--seed") {
         spec.seed = v.parse().expect("--seed takes an integer");
     }
-    if let Some(v) = value_of("--jobs") {
+    if let Some(v) = flag_value(args, "--jobs") {
         spec.jobs = v.parse().expect("--jobs takes a number");
     }
-    if let Some(v) = value_of("--tenants") {
+    if let Some(v) = flag_value(args, "--tenants") {
         spec.tenants = v.parse().expect("--tenants takes a number");
     }
-    if let Some(v) = value_of("--horizon") {
+    if let Some(v) = flag_value(args, "--horizon") {
         spec.horizon_secs = v.parse().expect("--horizon takes seconds");
     }
-    if let Some(v) = value_of("--interval") {
+    if let Some(v) = flag_value(args, "--interval") {
         spec.interval_secs = v.parse().expect("--interval takes seconds");
     }
     let report = spans::run(&spec, rate, span_seed);
     let text = report.render();
     println!("{text}");
-    if let Some(path) = value_of("--out") {
+    if let Some(path) = flag_value(args, "--out") {
         std::fs::write(&path, &text).expect("write spans artifact");
         eprintln!("[spans -> {path}]");
     }
-    if let Some(path) = value_of("--otlp") {
+    if let Some(path) = flag_value(args, "--otlp") {
         std::fs::write(&path, report.sampled.to_otlp_json()).expect("write OTLP span JSON");
         eprintln!("[otlp -> {path}]");
     }
     if args.iter().any(|a| a == "--check") {
-        let golden = value_of("--golden").unwrap_or_else(|| "artifacts/spans.txt".to_string());
+        let golden =
+            flag_value(args, "--golden").unwrap_or_else(|| "artifacts/spans.txt".to_string());
         let pinned = std::fs::read_to_string(&golden).unwrap_or_else(|e| {
             eprintln!("spans check: cannot read {golden}: {e}");
             std::process::exit(2);
@@ -435,8 +406,47 @@ fn usage_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Every flag that takes a value (`--threads` has its own check, which
+/// also demands a number).
+const VALUE_FLAGS: [&str; 18] = [
+    "--out",
+    "--telemetry",
+    "--baselines",
+    "--tolerance",
+    "--report",
+    "--tasks",
+    "--thresholds",
+    "--from-log",
+    "--seed",
+    "--jobs",
+    "--tenants",
+    "--horizon",
+    "--interval",
+    "--rate",
+    "--span-seed",
+    "--shape",
+    "--otlp",
+    "--golden",
+];
+
+/// The value following `flag`, or `None` when the flag is absent.
+fn flag_value(args: &[String], flag: &str) -> Option<String> {
+    let i = args.iter().position(|a| a == flag)?;
+    args.get(i + 1).cloned()
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // A value flag with nothing after it, or followed by another
+    // `--flag`, fails before anything runs: taking the next flag as the
+    // value would, say, write artifacts into a directory named `--quick`.
+    for (i, arg) in args.iter().enumerate() {
+        if VALUE_FLAGS.contains(&arg.as_str())
+            && !matches!(args.get(i + 1), Some(v) if !v.starts_with("--"))
+        {
+            usage_error(&format!("{arg} takes a value"));
+        }
+    }
     // Replay and spans dispatch before the generic `--out DIR`
     // handling: their `--out` names a file, not a directory.
     if args.iter().any(|a| a == "replay") {
@@ -455,19 +465,11 @@ fn main() {
         }
     });
     let quick = args.iter().any(|a| a == "--quick");
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let out_dir = flag_value(&args, "--out");
+    let telemetry_dir = flag_value(&args, "--telemetry");
     if let Some(dir) = &out_dir {
         std::fs::create_dir_all(dir).expect("create output directory");
     }
-    let telemetry_dir = args
-        .iter()
-        .position(|a| a == "--telemetry")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
     if args.iter().any(|a| a == "gate") {
         let ctx = Context::default().with_threads(threads.unwrap_or(0));
         run_gate(&ctx, &args);

@@ -737,6 +737,8 @@ struct Exec<'a> {
     disks: Vec<FairShareLink>,
     shared: GroupedLink,
     flow_task: FxHashMap<(LinkKey, FlowId), TaskId>,
+    /// Scratch for a link tick's finished flows, reused across ticks.
+    harvest_scratch: Vec<FlowId>,
     // Scheduling.
     /// HEFT-style upward rank per task (estimated seconds on the
     /// critical path to the sink), used by the CriticalPath policy.
@@ -797,16 +799,23 @@ struct Exec<'a> {
     node_up: Vec<bool>,
     /// Permanently failed GPU devices per node.
     gpus_dead: Vec<usize>,
-    /// Home node of every *written* (non-durable) version; shared-disk
-    /// writes are durable and never appear here.
-    version_home: FxHashMap<DataVersion, usize>,
-    /// Producing task of every written version.
-    producer: FxHashMap<DataVersion, TaskId>,
-    /// Versions written but never read by any task, sorted — the
-    /// fingerprint domain.
-    terminal: Vec<DataVersion>,
-    /// Lineage hash of every currently available produced version.
-    data_hash: FxHashMap<DataVersion, u64>,
+    /// Dense lineage slot of version 0 per `DataId`, plus the total
+    /// slot count at the end: version `v` of object `id` lives at slot
+    /// `vbase[id] + v` of the per-version tables below, so slot order
+    /// is `(id, version)` order.
+    vbase: Vec<usize>,
+    /// Home node of every *written* (non-durable) version by slot,
+    /// `NO_HOME` elsewhere; shared-disk writes are durable and never
+    /// get one. Empty without a fault plan.
+    version_home: Vec<usize>,
+    /// Producing task of every written version, by slot.
+    producer: Vec<Option<TaskId>>,
+    /// Slots of the versions written but never read by any task,
+    /// ascending — the fingerprint domain.
+    terminal: Vec<usize>,
+    /// Lineage hash of every currently available produced version, by
+    /// slot; `None` where the version is not (or no longer) available.
+    data_hash: Vec<Option<u64>>,
     stats: RecoveryStats,
     /// Fatal error raised deep inside the stage machinery; the run loop
     /// surfaces it after the current event.
@@ -843,24 +852,29 @@ impl<'a> Exec<'a> {
                 .fold(0.0, f64::max);
             upward_rank[idx] = est + succ_max;
         }
-        // Lineage bookkeeping: who writes each version, and which
-        // versions are terminal (written, never consumed).
-        let mut producer: FxHashMap<DataVersion, TaskId> = FxHashMap::default();
-        let mut consumed: FxHashSet<DataVersion> = FxHashSet::default();
+        // Lineage bookkeeping on dense version slots: who writes each
+        // version, and which versions are terminal (written, never
+        // consumed). Every version a task names is at most its object's
+        // final version, so it has a slot.
+        let mut vbase = Vec::with_capacity(wf.registry().len() + 1);
+        vbase.push(0);
+        for obj in wf.registry().iter() {
+            vbase.push(vbase[vbase.len() - 1] + obj.version as usize + 1);
+        }
+        let slots = vbase[vbase.len() - 1];
+        let mut producer: Vec<Option<TaskId>> = vec![None; slots];
+        let mut consumed = vec![false; slots];
         for t in wf.tasks() {
             for (id, version) in t.reads() {
-                consumed.insert(DataVersion { id, version });
+                consumed[vbase[id.0 as usize] + version as usize] = true;
             }
             for (id, version) in t.writes() {
-                producer.insert(DataVersion { id, version }, t.id);
+                producer[vbase[id.0 as usize] + version as usize] = Some(t.id);
             }
         }
-        let mut terminal: Vec<DataVersion> = producer
-            .keys()
-            .filter(|v| !consumed.contains(v))
-            .copied()
+        let terminal: Vec<usize> = (0..slots)
+            .filter(|&s| producer[s].is_some() && !consumed[s])
             .collect();
-        terminal.sort_by_key(|v| (v.id.0, v.version));
         // An empty plan must be indistinguishable from no plan.
         let faults = cfg.faults.as_ref().filter(|p| !p.is_empty());
         let mut fault_timeline: Vec<(SimTime, FaultAction)> = Vec::new();
@@ -917,6 +931,7 @@ impl<'a> Exec<'a> {
                 .collect(),
             shared: GroupedLink::new(c.shared_disk.bandwidth_bps, nodes, c.network.nic_bps),
             flow_task: FxHashMap::default(),
+            harvest_scratch: Vec::new(),
             upward_rank,
             rr_cursor: 0,
             master_busy: false,
@@ -975,10 +990,16 @@ impl<'a> Exec<'a> {
             recorded: vec![false; n_tasks],
             node_up: vec![true; nodes],
             gpus_dead: vec![0; nodes],
-            version_home: FxHashMap::default(),
+            vbase,
+            // Only a fault plan crashes nodes, so only then does a
+            // written version's home matter.
+            version_home: match faults {
+                Some(_) => vec![NO_HOME; slots],
+                None => Vec::new(),
+            },
             producer,
             terminal,
-            data_hash: FxHashMap::default(),
+            data_hash: vec![None; slots],
             run_pool: Vec::new(),
             stats: RecoveryStats::default(),
             fatal: None,
@@ -1256,6 +1277,11 @@ impl<'a> Exec<'a> {
         }
     }
 
+    /// Dense lineage slot of `v` (see [`Exec::vbase`]).
+    fn slot(&self, v: DataVersion) -> usize {
+        self.vbase[v.id.0 as usize] + v.version as usize
+    }
+
     /// Lineage hash of a version nobody produces (initial datasets, and
     /// their durable re-fetched copies).
     fn source_hash(v: DataVersion) -> u64 {
@@ -1506,16 +1532,18 @@ impl<'a> Exec<'a> {
                     return Ok(()); // stale tick
                 }
                 let now = self.now();
-                let flows = match key {
-                    LinkKey::Pcie(n) => self.pcie[n].harvest(now),
-                    LinkKey::Disk(n) => self.disks[n].harvest(now),
-                    LinkKey::Shared => self.shared.harvest(now),
-                };
-                for flow in flows {
+                let mut flows = std::mem::take(&mut self.harvest_scratch);
+                match key {
+                    LinkKey::Pcie(n) => self.pcie[n].harvest(now, &mut flows),
+                    LinkKey::Disk(n) => self.disks[n].harvest(now, &mut flows),
+                    LinkKey::Shared => self.shared.harvest(now, &mut flows),
+                }
+                for &flow in &flows {
                     if let Some(tid) = self.flow_task.remove(&(key, flow)) {
                         self.on_flow_done(tid)?;
                     }
                 }
+                self.harvest_scratch = flows;
                 self.reschedule_link(key);
                 Ok(())
             }
@@ -1624,12 +1652,8 @@ impl<'a> Exec<'a> {
         // Fold the attempt's input lineage now: every input version is
         // available at dispatch (dependency tracking guarantees it).
         let mut in_hash = mix64(0x517C_C1B7_2722_0A95 ^ tid.0 as u64);
-        for (v, _) in &inputs {
-            let hv = self
-                .data_hash
-                .get(v)
-                .copied()
-                .unwrap_or_else(|| Self::source_hash(*v));
+        for &(v, _) in &inputs {
+            let hv = self.data_hash[self.slot(v)].unwrap_or_else(|| Self::source_hash(v));
             in_hash = mix64(in_hash ^ hv);
         }
         inputs.reverse();
@@ -2046,7 +2070,8 @@ impl<'a> Exec<'a> {
                     if self.faults.is_some() {
                         // Written versions on a local disk die with the
                         // node; shared-disk writes are durable.
-                        self.version_home.insert(key, node);
+                        let slot = self.slot(key);
+                        self.version_home[slot] = node;
                     }
                 }
                 self.push_trace(node, tid, TraceState::Serialize, anchor, now);
@@ -2096,9 +2121,9 @@ impl<'a> Exec<'a> {
         // and its input lineage, so a regenerated producer reinserts the
         // exact value a crash destroyed.
         for (id, version) in self.wf.task(tid).writes() {
-            let key = DataVersion { id, version };
-            let h = mix64(run.in_hash ^ (((key.id.0 as u64) << 32) | key.version as u64));
-            self.data_hash.insert(key, h);
+            let h = mix64(run.in_hash ^ (((id.0 as u64) << 32) | version as u64));
+            let slot = self.slot(DataVersion { id, version });
+            self.data_hash[slot] = Some(h);
         }
         debug_assert!(!self.completed[i], "double completion of {tid}");
         self.completed[i] = true;
@@ -2249,8 +2274,8 @@ impl<'a> Exec<'a> {
         // lineage now: a missing produced version forces regeneration of
         // its producer before this task may run again.
         let lost_input = self.wf.task(tid).reads().any(|(id, version)| {
-            let v = DataVersion { id, version };
-            !self.data_hash.contains_key(&v) && self.producer.contains_key(&v)
+            let s = self.slot(DataVersion { id, version });
+            self.data_hash[s].is_none() && self.producer[s].is_some()
         });
         if lost_input {
             self.mark_regeneration(&[]);
@@ -2307,16 +2332,21 @@ impl<'a> Exec<'a> {
         let dropped = self.caches[node].clear();
         let mut lost: Vec<DataVersion> = Vec::new();
         if self.cfg.storage == StorageArchitecture::LocalDisk {
-            lost = self
-                .version_home
-                .iter()
-                .filter(|&(_, &h)| h == node)
-                .map(|(&v, _)| v)
-                .collect();
-            lost.sort_by_key(|v| (v.id.0, v.version));
+            // Slot order is `(id, version)` order, so the scan yields the
+            // lost versions already sorted.
+            for (id, w) in self.vbase.windows(2).enumerate() {
+                for slot in w[0]..w[1] {
+                    if self.version_home[slot] == node {
+                        self.version_home[slot] = NO_HOME;
+                        self.data_hash[slot] = None;
+                        lost.push(DataVersion {
+                            id: DataId(id as u32),
+                            version: (slot - w[0]) as u32,
+                        });
+                    }
+                }
+            }
             for &v in &lost {
-                self.version_home.remove(&v);
-                self.data_hash.remove(&v);
                 // Cached copies elsewhere are invalidated too: a lost
                 // version must be regenerated before anyone consumes it
                 // again, which is what makes fingerprint equality prove
@@ -2433,15 +2463,10 @@ impl<'a> Exec<'a> {
             .filter(|&i| !self.completed[i] && self.runs[i].is_none())
             .map(|i| TaskId(i as u32))
             .collect();
-        for v in lost {
-            if self
-                .terminal
-                .binary_search_by_key(&(v.id.0, v.version), |t| (t.id.0, t.version))
-                .is_ok()
-            {
-                if let Some(&p) = self.producer.get(v) {
-                    work.push(p);
-                }
+        for &v in lost {
+            let s = self.slot(v);
+            if self.terminal.binary_search(&s).is_ok() {
+                work.extend(self.producer[s]);
             }
         }
         let mut visited = vec![false; n];
@@ -2459,9 +2484,9 @@ impl<'a> Exec<'a> {
             // from the lineage table forces its producer to re-run
             // (initial versions have no producer — they are durable).
             for (id, version) in self.wf.task(t).reads() {
-                let v = DataVersion { id, version };
-                if !self.data_hash.contains_key(&v) {
-                    if let Some(&p) = self.producer.get(&v) {
+                let s = self.slot(DataVersion { id, version });
+                if self.data_hash[s].is_none() {
+                    if let Some(p) = self.producer[s] {
                         if !visited[p.0 as usize] {
                             work.push(p);
                         }
@@ -2604,8 +2629,8 @@ impl<'a> Exec<'a> {
         // Fold the lineage hashes of the terminal outputs, in a fixed
         // order — the run's output fingerprint.
         let mut fingerprint = 0xCBF2_9CE4_8422_2325u64;
-        for v in &self.terminal {
-            fingerprint = mix64(fingerprint ^ self.data_hash.get(v).copied().unwrap_or(0));
+        for &s in &self.terminal {
+            fingerprint = mix64(fingerprint ^ self.data_hash[s].unwrap_or(0));
         }
         Ok(RunReport {
             metrics,

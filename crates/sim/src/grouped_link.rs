@@ -32,6 +32,14 @@ pub struct GroupedLink {
     /// so pushes keep the order). A contiguous array keeps the max-min
     /// sweeps cache-resident; the float sequence is unchanged.
     flows: Vec<(FlowId, GFlow)>,
+    /// Active flows per group, kept current by `start` and `harvest`.
+    counts: Vec<usize>,
+    /// Per-flow max-min rate of each group for the current membership.
+    /// Rates are a pure function of `counts`, so they are recomputed
+    /// once per membership change and read by every sweep in between.
+    rates: Vec<f64>,
+    /// Water-filling order scratch, reused across recomputations.
+    order: Vec<usize>,
     last_update: SimTime,
     generation: u64,
     next_flow_id: FlowId,
@@ -56,6 +64,9 @@ impl GroupedLink {
             group_cap_bps,
             groups,
             flows: Vec::new(),
+            counts: vec![0; groups],
+            rates: vec![0.0; groups],
+            order: Vec::with_capacity(groups),
             last_update: SimTime::ZERO,
             generation: 0,
             next_flow_id: 0,
@@ -64,39 +75,37 @@ impl GroupedLink {
         }
     }
 
-    /// Max-min water-filling: per-flow rate for each group.
-    fn group_rates(&self) -> Vec<f64> {
-        let mut counts = vec![0usize; self.groups];
-        for (_, f) in &self.flows {
-            counts[f.group] += 1;
-        }
-        let mut rates = vec![0.0; self.groups];
+    /// Max-min water-filling over the current `counts`, into `rates`.
+    fn recompute_rates(&mut self) {
+        let (cap, counts) = (self.group_cap_bps, &self.counts);
+        self.rates.fill(0.0);
         // Groups sorted by their per-flow front-end cap, ascending. With a
         // uniform group cap the per-flow cap is cap / count, so busiest
-        // groups are most constrained.
-        let mut order: Vec<usize> = (0..self.groups).filter(|&g| counts[g] > 0).collect();
-        order.sort_by(|&a, &b| {
-            let ca = self.group_cap_bps / counts[a] as f64;
-            let cb = self.group_cap_bps / counts[b] as f64;
+        // groups are most constrained. For cluster-sized group counts the
+        // stable sort works in a stack buffer and does not allocate.
+        self.order.clear();
+        self.order
+            .extend((0..self.groups).filter(|&g| counts[g] > 0));
+        self.order.sort_by(|&a, &b| {
+            let ca = cap / counts[a] as f64;
+            let cb = cap / counts[b] as f64;
             ca.partial_cmp(&cb).expect("finite caps")
         });
         let mut remaining = self.global_bps;
-        let mut flows_left: usize = counts.iter().sum();
-        for g in order {
+        let mut flows_left = self.flows.len();
+        for &g in &self.order {
             let fair = remaining / flows_left as f64;
-            let cap = self.group_cap_bps / counts[g] as f64;
-            let r = cap.min(fair);
-            rates[g] = r;
+            let r = (cap / counts[g] as f64).min(fair);
+            self.rates[g] = r;
             remaining -= r * counts[g] as f64;
             flows_left -= counts[g];
         }
-        rates
     }
 
     fn advance(&mut self, now: SimTime) {
         let dt = now.duration_since(self.last_update).as_secs_f64();
         if dt > 0.0 && !self.flows.is_empty() {
-            let rates = self.group_rates();
+            let rates = &self.rates;
             for (_, flow) in &mut self.flows {
                 flow.remaining = (flow.remaining - rates[flow.group] * dt).max(0.0);
             }
@@ -124,6 +133,8 @@ impl GroupedLink {
                 remaining: bytes,
             },
         ));
+        self.counts[group] += 1;
+        self.recompute_rates();
         self.max_concurrency = self.max_concurrency.max(self.flows.len());
         self.generation += 1;
         id
@@ -134,7 +145,7 @@ impl GroupedLink {
         if self.flows.is_empty() {
             return None;
         }
-        let rates = self.group_rates();
+        let rates = &self.rates;
         let min_secs = self
             .flows
             .iter()
@@ -153,21 +164,26 @@ impl GroupedLink {
         Some(now + SimDuration::from_nanos(ns))
     }
 
-    /// Advances to `now` and removes finished flows, returning their ids.
-    pub fn harvest(&mut self, now: SimTime) -> Vec<FlowId> {
+    /// Advances to `now`, removes finished flows, and fills `done` with
+    /// their ids (ascending), replacing its contents. Bumps the
+    /// generation when any flow completed.
+    pub fn harvest(&mut self, now: SimTime, done: &mut Vec<FlowId>) {
         self.advance(now);
-        let done: Vec<FlowId> = self
-            .flows
-            .iter()
-            .filter(|(_, f)| f.remaining <= EPS_BYTES)
-            .map(|&(id, _)| id)
-            .collect();
+        done.clear();
+        let counts = &mut self.counts;
+        self.flows.retain(|(id, f)| {
+            let finished = f.remaining <= EPS_BYTES;
+            if finished {
+                done.push(*id);
+                counts[f.group] -= 1;
+            }
+            !finished
+        });
         if !done.is_empty() {
-            self.flows.retain(|(_, f)| f.remaining > EPS_BYTES);
+            self.recompute_rates();
             self.completed_flows += done.len() as u64;
             self.generation += 1;
         }
-        done
     }
 
     /// Generation stamp; changes on every membership change.
@@ -192,8 +208,7 @@ impl GroupedLink {
 
     /// Current aggregate throughput across all flows, bytes/s.
     pub fn aggregate_rate(&self) -> f64 {
-        let rates = self.group_rates();
-        self.flows.iter().map(|(_, f)| rates[f.group]).sum()
+        self.flows.iter().map(|(_, f)| self.rates[f.group]).sum()
     }
 }
 
@@ -225,7 +240,9 @@ mod tests {
         }
         let done = link.next_completion(t(0.0)).unwrap();
         assert!((done.as_secs_f64() - 2.0).abs() < 1e-6);
-        assert_eq!(link.harvest(done).len(), 16);
+        let mut finished = Vec::new();
+        link.harvest(done, &mut finished);
+        assert_eq!(finished.len(), 16);
     }
 
     #[test]
@@ -244,8 +261,9 @@ mod tests {
             "{}",
             done.as_secs_f64()
         );
-        let finished = link.harvest(done);
-        assert_eq!(finished.len(), 1);
+        let mut finished = Vec::new();
+        link.harvest(done, &mut finished);
+        assert_eq!(finished, vec![4]);
         // Only group-0 flows remain, pinned at their front-end cap.
         assert!((link.aggregate_rate() - 200.0).abs() < 1e-9);
     }

@@ -35,7 +35,9 @@ const EPS_BYTES: f64 = 1.0;
 /// link.start(SimTime::ZERO, 100.0);
 /// // Two equal flows share the channel: both finish at t = 2 s.
 /// let done = link.next_completion(SimTime::ZERO).unwrap();
-/// assert_eq!(link.harvest(done).len(), 2);
+/// let mut finished = Vec::new();
+/// link.harvest(done, &mut finished);
+/// assert_eq!(finished, [0, 1]);
 /// assert!((done.as_secs_f64() - 2.0).abs() < 1e-6);
 /// ```
 #[derive(Debug, Clone)]
@@ -146,23 +148,23 @@ impl FairShareLink {
         Some(now + SimDuration::from_nanos(ns))
     }
 
-    /// Advances the fluid model to `now` and removes every finished flow,
-    /// returning their ids (ascending). Bumps the generation when any
-    /// flow completed.
-    pub fn harvest(&mut self, now: SimTime) -> Vec<FlowId> {
+    /// Advances the fluid model to `now`, removes every finished flow,
+    /// and fills `done` with their ids (ascending), replacing its
+    /// contents. Bumps the generation when any flow completed.
+    pub fn harvest(&mut self, now: SimTime, done: &mut Vec<FlowId>) {
         self.advance(now);
-        let done: Vec<FlowId> = self
-            .flows
-            .iter()
-            .filter(|&&(_, remaining)| remaining <= EPS_BYTES)
-            .map(|&(id, _)| id)
-            .collect();
+        done.clear();
+        self.flows.retain(|&(id, remaining)| {
+            let finished = remaining <= EPS_BYTES;
+            if finished {
+                done.push(id);
+            }
+            !finished
+        });
         if !done.is_empty() {
-            self.flows.retain(|&(_, remaining)| remaining > EPS_BYTES);
             self.completed_flows += done.len() as u64;
             self.generation += 1;
         }
-        done
     }
 
     /// Generation stamp; changes on every membership change.
@@ -210,13 +212,19 @@ mod tests {
         SimTime::from_nanos((s * 1e9) as u64)
     }
 
+    fn harvest(link: &mut FairShareLink, now: SimTime) -> Vec<FlowId> {
+        let mut done = Vec::new();
+        link.harvest(now, &mut done);
+        done
+    }
+
     #[test]
     fn single_flow_runs_at_capacity() {
         let mut link = FairShareLink::new(100.0); // 100 B/s
         link.start(t(0.0), 200.0);
         let done_at = link.next_completion(t(0.0)).unwrap();
         assert!((done_at.as_secs_f64() - 2.0).abs() < 1e-6);
-        assert_eq!(link.harvest(done_at), vec![0]);
+        assert_eq!(harvest(&mut link, done_at), vec![0]);
         assert_eq!(link.active_flows(), 0);
     }
 
@@ -228,7 +236,7 @@ mod tests {
         // Each gets 50 B/s -> both finish at t = 2 s.
         let done_at = link.next_completion(t(0.0)).unwrap();
         assert!((done_at.as_secs_f64() - 2.0).abs() < 1e-6);
-        let done = link.harvest(done_at);
+        let done = harvest(&mut link, done_at);
         assert_eq!(done, vec![0, 1]);
     }
 
@@ -240,7 +248,7 @@ mod tests {
                                     // First flow: 50 B drained by 0.5 s, then 50 B at 50 B/s -> 1.5 s.
         let done_at = link.next_completion(t(0.5)).unwrap();
         assert!((done_at.as_secs_f64() - 1.5).abs() < 1e-6);
-        assert_eq!(link.harvest(done_at), vec![0]);
+        assert_eq!(harvest(&mut link, done_at), vec![0]);
         // Second flow speeds back up to 100 B/s afterwards.
         let done2 = link.next_completion(done_at).unwrap();
         // It drained 50 B/s * 1.0 s = 50 B so far; 950 B left at 100 B/s.
@@ -263,7 +271,7 @@ mod tests {
         link.start(t(0.1), 100.0);
         assert_ne!(link.generation(), g1, "start must bump generation");
         let before = link.generation();
-        assert!(link.harvest(t(0.2)).is_empty());
+        assert!(harvest(&mut link, t(0.2)).is_empty());
         assert_eq!(link.generation(), before, "no completion, no bump");
     }
 
@@ -272,7 +280,7 @@ mod tests {
         let mut link = FairShareLink::new(100.0);
         link.start(t(1.0), 0.0);
         assert_eq!(link.next_completion(t(1.0)), Some(t(1.0)));
-        assert_eq!(link.harvest(t(1.0)), vec![0]);
+        assert_eq!(harvest(&mut link, t(1.0)), vec![0]);
     }
 
     #[test]
@@ -292,7 +300,7 @@ mod tests {
             match link.next_completion(now) {
                 Some(tc) => {
                     now = tc.max(now);
-                    delivered += link.harvest(now).len() as u64;
+                    delivered += harvest(&mut link, now).len() as u64;
                 }
                 None => break,
             }

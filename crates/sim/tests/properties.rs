@@ -1,8 +1,209 @@
 //! Property suites for the simulation primitives under random operation
 //! sequences.
 
-use gpuflow_sim::{Acquire, Engine, FairShareLink, FcfsPool, GroupedLink, SimDuration, SimTime};
+use gpuflow_sim::{
+    Acquire, Engine, FairShareLink, FcfsPool, FlowId, GroupedLink, SimDuration, SimTime,
+};
 use proptest::prelude::*;
+
+/// Bytes of slack below which a flow counts as finished (the links'
+/// own threshold).
+const EPS_BYTES: f64 = 1.0;
+
+/// The previous grouped link — max-min water-filling recomputed from
+/// scratch over every flow on each call, harvest into a fresh `Vec` —
+/// kept as the oracle for the cached-rate implementation.
+struct ReferenceGroupedLink {
+    global_bps: f64,
+    group_cap_bps: f64,
+    groups: usize,
+    /// `(id, group, remaining bytes)`, ascending by id.
+    flows: Vec<(FlowId, usize, f64)>,
+    last_update: SimTime,
+    next_flow_id: FlowId,
+}
+
+impl ReferenceGroupedLink {
+    fn new(global_bps: f64, groups: usize, group_cap_bps: f64) -> Self {
+        ReferenceGroupedLink {
+            global_bps,
+            group_cap_bps,
+            groups,
+            flows: Vec::new(),
+            last_update: SimTime::ZERO,
+            next_flow_id: 0,
+        }
+    }
+
+    fn group_rates(&self) -> Vec<f64> {
+        let mut counts = vec![0usize; self.groups];
+        for &(_, g, _) in &self.flows {
+            counts[g] += 1;
+        }
+        let mut rates = vec![0.0; self.groups];
+        let mut order: Vec<usize> = (0..self.groups).filter(|&g| counts[g] > 0).collect();
+        order.sort_by(|&a, &b| {
+            let ca = self.group_cap_bps / counts[a] as f64;
+            let cb = self.group_cap_bps / counts[b] as f64;
+            ca.partial_cmp(&cb).expect("finite caps")
+        });
+        let mut remaining = self.global_bps;
+        let mut flows_left: usize = counts.iter().sum();
+        for g in order {
+            let fair = remaining / flows_left as f64;
+            let cap = self.group_cap_bps / counts[g] as f64;
+            let r = cap.min(fair);
+            rates[g] = r;
+            remaining -= r * counts[g] as f64;
+            flows_left -= counts[g];
+        }
+        rates
+    }
+
+    fn advance(&mut self, now: SimTime) {
+        let dt = now.duration_since(self.last_update).as_secs_f64();
+        if dt > 0.0 && !self.flows.is_empty() {
+            let rates = self.group_rates();
+            for (_, g, remaining) in &mut self.flows {
+                *remaining = (*remaining - rates[*g] * dt).max(0.0);
+            }
+        }
+        self.last_update = now;
+    }
+
+    fn start(&mut self, now: SimTime, group: usize, bytes: f64) -> FlowId {
+        self.advance(now);
+        let id = self.next_flow_id;
+        self.next_flow_id += 1;
+        self.flows.push((id, group, bytes));
+        id
+    }
+
+    fn next_completion(&self, now: SimTime) -> Option<SimTime> {
+        if self.flows.is_empty() {
+            return None;
+        }
+        let rates = self.group_rates();
+        let min_secs = self
+            .flows
+            .iter()
+            .map(|&(_, g, remaining)| {
+                if remaining <= EPS_BYTES {
+                    0.0
+                } else {
+                    remaining / rates[g]
+                }
+            })
+            .fold(f64::INFINITY, f64::min);
+        if min_secs <= 0.0 {
+            return Some(now);
+        }
+        let ns = (min_secs * 1e9).ceil().max(1.0) as u64;
+        Some(now + SimDuration::from_nanos(ns))
+    }
+
+    fn harvest(&mut self, now: SimTime) -> Vec<FlowId> {
+        self.advance(now);
+        let done: Vec<FlowId> = self
+            .flows
+            .iter()
+            .filter(|f| f.2 <= EPS_BYTES)
+            .map(|f| f.0)
+            .collect();
+        self.flows.retain(|f| f.2 > EPS_BYTES);
+        done
+    }
+
+    fn aggregate_rate(&self) -> f64 {
+        let rates = self.group_rates();
+        self.flows.iter().map(|&(_, g, _)| rates[g]).sum()
+    }
+}
+
+/// The previous fair-share link, harvesting into a fresh `Vec` — the
+/// oracle for the buffer-filling `harvest`.
+struct ReferenceFairShareLink {
+    capacity_bps: f64,
+    per_flow_cap_bps: f64,
+    /// `(id, remaining bytes)`, ascending by id.
+    flows: Vec<(FlowId, f64)>,
+    last_update: SimTime,
+    next_flow_id: FlowId,
+}
+
+impl ReferenceFairShareLink {
+    fn new(capacity_bps: f64, per_flow_cap_bps: f64) -> Self {
+        ReferenceFairShareLink {
+            capacity_bps,
+            per_flow_cap_bps,
+            flows: Vec::new(),
+            last_update: SimTime::ZERO,
+            next_flow_id: 0,
+        }
+    }
+
+    fn rate_per_flow(&self) -> f64 {
+        match self.flows.len() {
+            0 => 0.0,
+            k => (self.capacity_bps / k as f64).min(self.per_flow_cap_bps),
+        }
+    }
+
+    fn advance(&mut self, now: SimTime) {
+        let dt = now.duration_since(self.last_update).as_secs_f64();
+        if dt > 0.0 {
+            let drained = self.rate_per_flow() * dt;
+            for (_, remaining) in &mut self.flows {
+                *remaining = (*remaining - drained).max(0.0);
+            }
+        }
+        self.last_update = now;
+    }
+
+    fn start(&mut self, now: SimTime, bytes: f64) -> FlowId {
+        self.advance(now);
+        let id = self.next_flow_id;
+        self.next_flow_id += 1;
+        self.flows.push((id, bytes));
+        id
+    }
+
+    fn next_completion(&self, now: SimTime) -> Option<SimTime> {
+        let min_remaining = self.flows.iter().map(|f| f.1).fold(f64::INFINITY, f64::min);
+        if min_remaining.is_infinite() {
+            return None;
+        }
+        if min_remaining <= EPS_BYTES {
+            return Some(now);
+        }
+        let secs = min_remaining / self.rate_per_flow();
+        let ns = (secs * 1e9).ceil().max(1.0) as u64;
+        Some(now + SimDuration::from_nanos(ns))
+    }
+
+    fn harvest(&mut self, now: SimTime) -> Vec<FlowId> {
+        self.advance(now);
+        let done: Vec<FlowId> = self
+            .flows
+            .iter()
+            .filter(|f| f.1 <= EPS_BYTES)
+            .map(|f| f.0)
+            .collect();
+        self.flows.retain(|f| f.1 > EPS_BYTES);
+        done
+    }
+}
+
+/// Flow sizes, drawn by index. Repeated sizes finish together (several
+/// ids in one harvest); zero-byte flows finish at once.
+const FLOW_BYTES: [f64; 6] = [0.0, 1e3, 1e3, 4e4, 2.5e5, 1e6];
+
+/// `(backend, group front-end)` rates: front-end bound, backend bound,
+/// and mixed regimes of the water-filling.
+const GROUPED_RATES: [(f64, f64); 4] = [(8e5, 1e5), (1e6, 5e5), (3e5, 1e6), (1e6, 3.3e5)];
+
+/// `(capacity, per-flow cap)` of the fair-share oracle runs.
+const FAIR_SHARE_RATES: [(f64, f64); 3] = [(1e6, f64::INFINITY), (1e6, 2e5), (3e5, 1e6)];
 
 /// The previous engine implementation — a `BinaryHeap` min-ordered on
 /// (time, seq) — kept here as the behavioural oracle for the calendar
@@ -115,9 +316,11 @@ proptest! {
             }
             let mut now = SimTime::from_nanos(sizes.len() as u64 * 1000);
             let mut done = Vec::new();
+            let mut finished = Vec::new();
             while let Some(tc) = link.next_completion(now) {
                 now = tc.max(now);
-                done.extend(link.harvest(now));
+                link.harvest(now, &mut finished);
+                done.extend_from_slice(&finished);
             }
             (done, now)
         };
@@ -143,13 +346,112 @@ proptest! {
         }
         let mut now = SimTime::ZERO;
         let mut done = 0usize;
+        let mut finished = Vec::new();
         while let Some(tc) = link.next_completion(now) {
             now = tc.max(now);
-            done += link.harvest(now).len();
+            link.harvest(now, &mut finished);
+            done += finished.len();
         }
         prop_assert_eq!(done, flows.len());
         // Work conservation lower bound (generous epsilon for ns ticks).
         prop_assert!(now.as_secs_f64() + 1e-6 >= total / global);
+    }
+
+    /// The cached-rate grouped link agrees bit for bit with the
+    /// from-scratch water-filling under random start/harvest sequences
+    /// over up to 8 groups: same next completion, same harvested ids,
+    /// same aggregate rate bits at every step. "Start in every group"
+    /// steps produce tied per-group counts, which the stable sort must
+    /// order the same way.
+    #[test]
+    fn grouped_link_matches_from_scratch_reference(
+        setup in (0usize..4, 1usize..9),
+        ops in prop::collection::vec((0u64..5, (0usize..8, 0usize..6), 0u64..400_000), 1..120),
+    ) {
+        let (global, cap) = GROUPED_RATES[setup.0];
+        let groups = setup.1;
+        let mut link = GroupedLink::new(global, groups, cap);
+        let mut reference = ReferenceGroupedLink::new(global, groups, cap);
+        // Stale contents must be replaced, not appended to.
+        let mut done = vec![FlowId::MAX];
+        let mut now = SimTime::ZERO;
+        // Past the random ops, drain until the link is idle.
+        for step in 0.. {
+            if step >= ops.len() && link.active_flows() == 0 {
+                break;
+            }
+            prop_assert!(step < ops.len() + 10_000, "the link drains");
+            let (kind, (g, size), gap) = ops.get(step).copied().unwrap_or((3, (0, 0), 0));
+            let bytes = FLOW_BYTES[size];
+            match kind {
+                0 | 1 => {
+                    now += SimDuration::from_nanos(gap);
+                    prop_assert_eq!(link.start(now, g % groups, bytes), reference.start(now, g % groups, bytes));
+                }
+                2 => {
+                    now += SimDuration::from_nanos(gap);
+                    for g in 0..groups {
+                        prop_assert_eq!(link.start(now, g, bytes), reference.start(now, g, bytes));
+                    }
+                }
+                _ => {
+                    // Harvest at the next completion, or at an arbitrary
+                    // later instant.
+                    now = match (kind, link.next_completion(now)) {
+                        (3, Some(t)) => t.max(now),
+                        _ => now + SimDuration::from_nanos(gap),
+                    };
+                    link.harvest(now, &mut done);
+                    prop_assert_eq!(&done, &reference.harvest(now));
+                }
+            }
+            prop_assert_eq!(link.next_completion(now), reference.next_completion(now));
+            prop_assert_eq!(link.aggregate_rate().to_bits(), reference.aggregate_rate().to_bits());
+            prop_assert_eq!(link.active_flows(), reference.flows.len());
+        }
+    }
+
+    /// The buffer-filling fair-share `harvest` returns the oracle's ids,
+    /// ascending, at every step of random start/harvest sequences.
+    #[test]
+    fn fair_share_harvest_matches_reference(
+        rates in 0usize..3,
+        ops in prop::collection::vec((0u64..4, 0usize..6, 0u64..400_000), 1..120),
+    ) {
+        let (capacity, per_flow_cap) = FAIR_SHARE_RATES[rates];
+        let mut link = FairShareLink::with_per_flow_cap(capacity, per_flow_cap);
+        let mut reference = ReferenceFairShareLink::new(capacity, per_flow_cap);
+        let mut done = vec![FlowId::MAX];
+        let mut now = SimTime::ZERO;
+        for step in 0.. {
+            if step >= ops.len() && link.active_flows() == 0 {
+                break;
+            }
+            prop_assert!(step < ops.len() + 10_000, "the link drains");
+            let (kind, size, gap) = ops.get(step).copied().unwrap_or((2, 0, 0));
+            match kind {
+                0 | 1 => {
+                    now += SimDuration::from_nanos(gap);
+                    let bytes = FLOW_BYTES[size];
+                    prop_assert_eq!(link.start(now, bytes), reference.start(now, bytes));
+                }
+                _ => {
+                    now = match (kind, link.next_completion(now)) {
+                        (2, Some(t)) => t.max(now),
+                        _ => now + SimDuration::from_nanos(gap),
+                    };
+                    link.harvest(now, &mut done);
+                    prop_assert_eq!(&done, &reference.harvest(now));
+                    prop_assert!(done.windows(2).all(|w| w[0] < w[1]), "ids ascend: {:?}", done);
+                }
+            }
+            prop_assert_eq!(link.next_completion(now), reference.next_completion(now));
+            prop_assert_eq!(link.active_flows(), reference.flows.len());
+            prop_assert_eq!(
+                link.bytes_in_flight().to_bits(),
+                reference.flows.iter().map(|f| f.1).sum::<f64>().to_bits()
+            );
+        }
     }
 
     /// The calendar queue pops the exact (time, seq) sequence a binary

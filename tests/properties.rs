@@ -86,10 +86,12 @@ proptest! {
             link.start(now, sizes[i]);
         }
         let mut delivered = 0usize;
+        let mut finished = Vec::new();
         let mut guard = 0;
         while let Some(t) = link.next_completion(now) {
             now = t.max(now);
-            delivered += link.harvest(now).len();
+            link.harvest(now, &mut finished);
+            delivered += finished.len();
             guard += 1;
             prop_assert!(guard < 10_000, "link failed to drain");
         }
@@ -111,9 +113,11 @@ proptest! {
         // Drain fully.
         let mut now = SimTime::ZERO;
         let mut delivered = 0;
+        let mut finished = Vec::new();
         while let Some(t) = link.next_completion(now) {
             now = t.max(now);
-            delivered += link.harvest(now).len();
+            link.harvest(now, &mut finished);
+            delivered += finished.len();
         }
         prop_assert_eq!(delivered, flows.len());
     }
