@@ -77,6 +77,8 @@ use gpuflow_experiments::{
 fn run_gate(ctx: &Context, args: &[String]) {
     let dir = flag_value(args, "--baselines").unwrap_or_else(|| "artifacts/baselines".to_string());
     let dir = std::path::Path::new(&dir);
+    let tolerance =
+        parsed_flag(args, "--tolerance", "a percentage").unwrap_or(gate::DEFAULT_TOLERANCE_PCT);
     if args.iter().any(|a| a == "--update") {
         let written = gate::update(ctx, dir).expect("write baseline profiles");
         for path in &written {
@@ -89,9 +91,6 @@ fn run_gate(ctx: &Context, args: &[String]) {
         );
         return;
     }
-    let tolerance = flag_value(args, "--tolerance")
-        .map(|v| v.parse::<f64>().expect("--tolerance takes a percentage"))
-        .unwrap_or(gate::DEFAULT_TOLERANCE_PCT);
     let report = gate::check(ctx, dir, tolerance);
     let mut text = report.render();
     if !report.passed() {
@@ -119,9 +118,8 @@ fn run_gate(ctx: &Context, args: &[String]) {
 /// against the committed ceilings and exits nonzero on a breach.
 fn run_perf(args: &[String]) {
     let full = args.iter().any(|a| a == "--full");
-    let tasks = flag_value(args, "--tasks")
-        .map(|v| v.parse::<usize>().expect("--tasks takes a number"))
-        .unwrap_or(if full { 1_000_000 } else { 100_000 });
+    let tasks =
+        parsed_flag(args, "--tasks", "a number").unwrap_or(if full { 1_000_000 } else { 100_000 });
     let results = stress::run_suite(tasks);
     println!("{}", stress::render(&results));
     if args.iter().any(|a| a == "--check") {
@@ -189,29 +187,30 @@ fn run_replay_from_log(path: &str, args: &[String]) {
     }
 }
 
+/// The replay scenario `base` with the `--seed`, `--jobs`,
+/// `--tenants`, `--horizon` and `--interval` overrides applied.
+fn replay_spec(args: &[String], base: replay::ReplaySpec) -> replay::ReplaySpec {
+    replay::ReplaySpec {
+        seed: parsed_flag(args, "--seed", "an integer").unwrap_or(base.seed),
+        jobs: parsed_flag(args, "--jobs", "a number").unwrap_or(base.jobs),
+        tenants: parsed_flag(args, "--tenants", "a number").unwrap_or(base.tenants),
+        horizon_secs: parsed_flag(args, "--horizon", "seconds").unwrap_or(base.horizon_secs),
+        interval_secs: parsed_flag(args, "--interval", "seconds").unwrap_or(base.interval_secs),
+        ..base
+    }
+}
+
 fn run_replay(args: &[String]) {
+    let spec = replay_spec(
+        args,
+        replay::ReplaySpec {
+            chaos: args.iter().any(|a| a == "--chaos"),
+            ..replay::ReplaySpec::default()
+        },
+    );
     if let Some(path) = flag_value(args, "--from-log") {
         run_replay_from_log(&path, args);
         return;
-    }
-    let mut spec = replay::ReplaySpec::default();
-    if let Some(v) = flag_value(args, "--seed") {
-        spec.seed = v.parse().expect("--seed takes an integer");
-    }
-    if let Some(v) = flag_value(args, "--jobs") {
-        spec.jobs = v.parse().expect("--jobs takes a number");
-    }
-    if let Some(v) = flag_value(args, "--tenants") {
-        spec.tenants = v.parse().expect("--tenants takes a number");
-    }
-    if let Some(v) = flag_value(args, "--horizon") {
-        spec.horizon_secs = v.parse().expect("--horizon takes seconds");
-    }
-    if let Some(v) = flag_value(args, "--interval") {
-        spec.interval_secs = v.parse().expect("--interval takes seconds");
-    }
-    if args.iter().any(|a| a == "--chaos") {
-        spec.chaos = true;
     }
     let report = replay::run(&spec);
     let text = report.render();
@@ -244,19 +243,23 @@ fn run_replay(args: &[String]) {
 /// `--stress`, a million-task DAG (by default) checks the sampler's
 /// documented size bound and 100% critical-path retention instead.
 fn run_spans(args: &[String]) {
-    let rate = flag_value(args, "--rate")
-        .map(|v| v.parse::<u64>().expect("--rate takes ppm"))
-        .unwrap_or(spans::DEFAULT_RATE_PPM);
-    let span_seed = flag_value(args, "--span-seed")
-        .map(|v| v.parse::<u64>().expect("--span-seed takes an integer"))
-        .unwrap_or(spans::DEFAULT_SAMPLER_SEED);
+    let rate = parsed_flag(args, "--rate", "ppm").unwrap_or(spans::DEFAULT_RATE_PPM);
+    let span_seed =
+        parsed_flag(args, "--span-seed", "an integer").unwrap_or(spans::DEFAULT_SAMPLER_SEED);
+    let tasks = parsed_flag(args, "--tasks", "a number").unwrap_or(1_000_000);
+    let shape = match flag_value(args, "--shape") {
+        Some(v) => stress::Shape::parse(&v)
+            .unwrap_or_else(|| usage_error(&format!("--shape takes wide|stencil|tree, got '{v}'"))),
+        None => stress::Shape::Wide,
+    };
+    let spec = replay_spec(
+        args,
+        replay::ReplaySpec {
+            chaos: true,
+            ..replay::ReplaySpec::default()
+        },
+    );
     if args.iter().any(|a| a == "--stress") {
-        let tasks = flag_value(args, "--tasks")
-            .map(|v| v.parse::<usize>().expect("--tasks takes a number"))
-            .unwrap_or(1_000_000);
-        let shape = flag_value(args, "--shape")
-            .map(|v| stress::Shape::parse(&v).expect("--shape takes wide|stencil|tree"))
-            .unwrap_or(stress::Shape::Wide);
         let verdict = spans::run_stress(shape, tasks, rate, span_seed);
         let line = spans::render_stress(&verdict);
         println!("{line}");
@@ -265,25 +268,6 @@ fn run_spans(args: &[String]) {
             std::process::exit(1);
         }
         return;
-    }
-    let mut spec = replay::ReplaySpec {
-        chaos: true,
-        ..replay::ReplaySpec::default()
-    };
-    if let Some(v) = flag_value(args, "--seed") {
-        spec.seed = v.parse().expect("--seed takes an integer");
-    }
-    if let Some(v) = flag_value(args, "--jobs") {
-        spec.jobs = v.parse().expect("--jobs takes a number");
-    }
-    if let Some(v) = flag_value(args, "--tenants") {
-        spec.tenants = v.parse().expect("--tenants takes a number");
-    }
-    if let Some(v) = flag_value(args, "--horizon") {
-        spec.horizon_secs = v.parse().expect("--horizon takes seconds");
-    }
-    if let Some(v) = flag_value(args, "--interval") {
-        spec.interval_secs = v.parse().expect("--interval takes seconds");
     }
     let report = spans::run(&spec, rate, span_seed);
     let text = report.render();
@@ -433,6 +417,17 @@ const VALUE_FLAGS: [&str; 18] = [
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
     let i = args.iter().position(|a| a == flag)?;
     args.get(i + 1).cloned()
+}
+
+/// The value of `flag` parsed as a `T`, or `None` when the flag is
+/// absent; a value that does not parse is a usage error naming `what`
+/// the flag takes.
+fn parsed_flag<T: std::str::FromStr>(args: &[String], flag: &str, what: &str) -> Option<T> {
+    let v = flag_value(args, flag)?;
+    Some(
+        v.parse()
+            .unwrap_or_else(|_| usage_error(&format!("{flag} takes {what}, got '{v}'"))),
+    )
 }
 
 fn main() {

@@ -105,7 +105,10 @@ pub fn run(spec: &ReplaySpec, rate_ppm: u64, sampler_seed: u64) -> SpansReport {
     metrics.set_tenants(&tenants);
     metrics.begin_epoch(ranges);
     metrics.enable_alerts(AlertRule::standard());
-    report.telemetry.replay(&mut metrics);
+    for ev in report.telemetry.events() {
+        metrics.observe(ev);
+    }
+    metrics.seal();
 
     SpansReport {
         spec: spec.clone(),

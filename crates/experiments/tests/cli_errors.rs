@@ -50,6 +50,45 @@ fn non_numeric_threads_is_a_usage_error() {
 }
 
 #[test]
+fn non_numeric_values_are_usage_errors() {
+    let cases: [(&[&str], &str); 11] = [
+        (
+            &["perf", "--tasks", "many"],
+            "--tasks takes a number, got 'many'",
+        ),
+        (
+            &["spans", "--stress", "--tasks", "x"],
+            "--tasks takes a number",
+        ),
+        (&["replay", "--seed", "x"], "--seed takes an integer"),
+        (&["replay", "--jobs", "x"], "--jobs takes a number"),
+        (&["replay", "--tenants", "x"], "--tenants takes a number"),
+        (&["replay", "--horizon", "x"], "--horizon takes seconds"),
+        (&["spans", "--interval", "x"], "--interval takes seconds"),
+        (
+            &["gate", "--update", "--tolerance", "x"],
+            "--tolerance takes a percentage",
+        ),
+        (&["spans", "--rate", "x"], "--rate takes ppm"),
+        (
+            &["spans", "--span-seed", "x"],
+            "--span-seed takes an integer",
+        ),
+        (
+            &["spans", "--stress", "--shape", "ring"],
+            "--shape takes wide|stencil|tree, got 'ring'",
+        ),
+    ];
+    let dir = scratch_dir("numeric");
+    for (args, needle) in cases {
+        assert_usage_error_in(&dir, args, needle);
+    }
+    let left: Vec<_> = std::fs::read_dir(&dir).expect("read scratch dir").collect();
+    assert!(left.is_empty(), "nothing may be created: {left:?}");
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+}
+
+#[test]
 fn value_flags_without_a_value_are_usage_errors() {
     let dir = scratch_dir("dirflags");
     for flag in ["--out", "--telemetry"] {

@@ -35,7 +35,7 @@ use crate::task::TaskId;
 use crate::telemetry::{
     CandidateScore, EventBus, LinkKind, MetricsHub, SchedulerDecision, TelemetryEvent, TelemetryLog,
 };
-use crate::trace::{Trace, TraceState};
+use crate::trace::TraceState;
 use crate::workflow::{DagShape, Workflow};
 
 /// Configuration of one run — the factor combination of Table 1.
@@ -53,13 +53,13 @@ pub struct RunConfig {
     pub seed: u64,
     /// Relative amplitude of run-to-run noise on compute/(de)ser stages.
     pub jitter_sigma: f64,
-    /// Collect a Paraver-like trace (costs memory on big runs).
-    pub collect_trace: bool,
     /// Collect the full structured telemetry stream (task lifecycle,
-    /// scheduler decisions, cache activity, transfers, gauges) into
-    /// [`RunReport::telemetry`]. Costs memory on big runs; when both
-    /// this and `collect_trace` are off the event bus is inert and the
-    /// run pays one branch per emission site.
+    /// scheduler decisions, stage intervals, cache activity, transfers,
+    /// gauges) into [`RunReport::telemetry`]. Every view of a run —
+    /// Paraver and CSV traces via [`crate::Trace::from_telemetry`], spans,
+    /// profiles, metrics — reads that one stream. Costs memory on big
+    /// runs; when off (and no live hub is attached) the event bus is
+    /// inert and the run pays one branch per emission site.
     pub collect_telemetry: bool,
     /// Fraction of node RAM used as the worker object cache.
     pub cache_fraction: f64,
@@ -106,7 +106,6 @@ impl RunConfig {
             policy: SchedulingPolicy::GenerationOrder,
             seed: 0xC0FFEE,
             jitter_sigma: 0.02,
-            collect_trace: false,
             collect_telemetry: false,
             cache_fraction: 0.5,
             cpu_threads_per_task: 1,
@@ -152,12 +151,6 @@ impl RunConfig {
     /// Sets the jitter seed (repeat runs with different seeds).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Enables trace collection.
-    pub fn with_trace(mut self) -> Self {
-        self.collect_trace = true;
         self
     }
 
@@ -323,8 +316,6 @@ pub struct RunReport {
     pub metrics: RunMetrics,
     /// Raw per-task records.
     pub records: Vec<TaskRecord>,
-    /// Paraver-like trace (empty unless requested).
-    pub trace: Trace,
     /// Structured telemetry stream (empty unless
     /// [`RunConfig::collect_telemetry`] is set).
     pub telemetry: TelemetryLog,
@@ -766,9 +757,8 @@ struct Exec<'a> {
     /// block has no disk home yet. Only meaningful under local disks.
     home: Vec<usize>,
     jitter: Jitter,
-    /// The telemetry bus. Stage events double as the trace source, so
-    /// the bus runs whenever either collection is on; `finish` then
-    /// derives the trace and/or the log from one event stream.
+    /// The telemetry bus; it records when telemetry is collected and
+    /// feeds the live hub when one is attached.
     bus: EventBus,
     gpu_kernel_seconds: f64,
     core_held_seconds: f64,
@@ -952,7 +942,7 @@ impl<'a> Exec<'a> {
             home,
             jitter: Jitter::new(cfg.seed, cfg.jitter_sigma),
             bus: {
-                let bus = EventBus::new(cfg.collect_trace || cfg.collect_telemetry);
+                let bus = EventBus::new(cfg.collect_telemetry);
                 match &cfg.live_metrics {
                     Some(hub) => bus.with_live(hub.clone()),
                     None => bus,
@@ -2613,19 +2603,8 @@ impl<'a> Exec<'a> {
             gpu_util,
             self.peak_ram,
         );
-        // One event stream feeds both requested views of the run.
         self.bus.finish_live();
-        let log = self.bus.into_log();
-        let trace = if self.cfg.collect_trace {
-            Trace::from_telemetry(&log)
-        } else {
-            Trace::new()
-        };
-        let telemetry = if self.cfg.collect_telemetry {
-            log
-        } else {
-            TelemetryLog::default()
-        };
+        let telemetry = self.bus.into_log();
         // Fold the lineage hashes of the terminal outputs, in a fixed
         // order — the run's output fingerprint.
         let mut fingerprint = 0xCBF2_9CE4_8422_2325u64;
@@ -2635,7 +2614,6 @@ impl<'a> Exec<'a> {
         Ok(RunReport {
             metrics,
             records: self.records,
-            trace,
             telemetry,
             shape: self.wf.shape(),
             processor: self.cfg.processor,
@@ -2652,6 +2630,7 @@ mod tests {
     use super::*;
     use crate::data::Direction;
     use crate::task::CostProfile;
+    use crate::trace::Trace;
     use crate::workflow::WorkflowBuilder;
     use gpuflow_cluster::KernelWork;
 
@@ -2868,15 +2847,16 @@ mod tests {
     }
 
     #[test]
-    fn trace_collection_is_opt_in() {
+    fn trace_from_telemetry_has_one_parallel_interval_per_task() {
         let wf = map_workflow(2, MB, 1e9);
         let without = run(&wf, &cfg(ProcessorKind::Cpu)).unwrap();
-        assert!(without.trace.is_empty());
-        let with = run(&wf, &cfg(ProcessorKind::Cpu).with_trace()).unwrap();
-        assert!(!with.trace.is_empty());
+        assert!(without.telemetry.is_empty());
+        assert!(Trace::from_telemetry(&without.telemetry).is_empty());
+        let with = run(&wf, &cfg(ProcessorKind::Cpu).with_telemetry()).unwrap();
+        let trace = Trace::from_telemetry(&with.telemetry);
+        assert!(!trace.is_empty());
         // Every completed task shows a parallel-fraction interval.
-        let parallel = with
-            .trace
+        let parallel = trace
             .records()
             .iter()
             .filter(|r| r.state == TraceState::ParallelFraction)

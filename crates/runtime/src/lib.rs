@@ -35,12 +35,11 @@ pub use scheduler::{
 pub use task::{CostProfile, Param, TaskId, TaskSpec, TaskType};
 pub use telemetry::{
     json_escape_into, to_chrome_trace, to_collapsed, AlertEngine, AlertRule, AlertSeverity,
-    AlertState, AlertTransition, BucketDelta, BucketHistogram, CandidateScore, ChromeTraceSink,
-    CriticalSegment, EventBus, Histogram, HistogramDigest, JsonlSink, LinkKind, MemorySink,
-    MetricsHub, MetricsRegistry, OverheadReport, PathChange, PathDelta, PhaseSpan, ResourceProfile,
-    RuleKind, RunDiff, RunProfile, SampleRow, SampleStats, SchedulerDecision, SpanForest,
-    SpanPhase, SpanSampler, TaskSpans, TaskTypeProfile, TelemetryEvent, TelemetryLog,
-    TelemetrySink, TypeDelta,
+    AlertState, AlertTransition, BucketDelta, BucketHistogram, CandidateScore, CriticalSegment,
+    EventBus, Histogram, HistogramDigest, LinkKind, MetricsHub, MetricsRegistry, OverheadReport,
+    PathChange, PathDelta, PhaseSpan, ResourceProfile, RuleKind, RunDiff, RunProfile, SampleRow,
+    SampleStats, SchedulerDecision, SpanForest, SpanPhase, SpanSampler, TaskSpans, TaskTypeProfile,
+    TelemetryEvent, TelemetryLog, TypeDelta,
 };
 pub use trace::{paraver_pcf, to_paraver_prv, Trace, TraceRecord, TraceState};
 pub use workflow::{DagShape, Workflow, WorkflowBuilder};

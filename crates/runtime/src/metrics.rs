@@ -15,7 +15,7 @@ use gpuflow_sim::{SimDuration, SimTime};
 use crate::task::{TaskId, TaskType};
 
 /// Everything measured about one executed task.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskRecord {
     /// Task identifier.
     pub task: TaskId,
@@ -89,7 +89,7 @@ pub struct LevelStats {
 }
 
 /// Aggregated metrics of one run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunMetrics {
     /// Wall-clock makespan of the whole workflow, seconds.
     pub makespan: f64,

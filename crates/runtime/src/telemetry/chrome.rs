@@ -20,7 +20,6 @@ use crate::task::{TaskId, TaskTable};
 use crate::trace::TraceState;
 
 use super::event::{json_escape_into, TelemetryEvent};
-use super::sink::{MemorySink, TelemetrySink};
 use super::TelemetryLog;
 
 /// Thread-track id of GPU device `g` within its node's process.
@@ -416,43 +415,6 @@ pub fn to_chrome_trace(log: &TelemetryLog) -> String {
     doc.out
 }
 
-/// A [`TelemetrySink`] assembling a Chrome trace on [`finish`].
-///
-/// [`finish`]: TelemetrySink::finish
-#[derive(Debug, Clone, Default)]
-pub struct ChromeTraceSink {
-    buffer: MemorySink,
-    output: String,
-}
-
-impl ChromeTraceSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The assembled trace JSON (empty before [`TelemetrySink::finish`]).
-    pub fn as_str(&self) -> &str {
-        &self.output
-    }
-
-    /// Consumes the sink, returning the trace JSON.
-    pub fn into_string(self) -> String {
-        self.output
-    }
-}
-
-impl TelemetrySink for ChromeTraceSink {
-    fn on_event(&mut self, ev: &TelemetryEvent) {
-        self.buffer.on_event(ev);
-    }
-
-    fn finish(&mut self) {
-        let log = TelemetryLog::from_events(std::mem::take(&mut self.buffer.events));
-        self.output = to_chrome_trace(&log);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,17 +482,6 @@ mod tests {
         let json = to_chrome_trace(&sample_log());
         assert!(json.contains("\"ts\":1.500"), "{json}");
         assert!(json.contains("\"dur\":1.000"));
-    }
-
-    #[test]
-    fn sink_assembles_on_finish() {
-        let mut sink = ChromeTraceSink::new();
-        for ev in sample_log().events() {
-            sink.on_event(ev);
-        }
-        assert!(sink.as_str().is_empty());
-        sink.finish();
-        assert!(sink.as_str().contains("traceEvents"));
     }
 
     #[test]

@@ -32,7 +32,9 @@ use std::fmt::Write as _;
 use gpuflow_sim::SimTime;
 
 use crate::task::{TaskId, TaskTable};
-use crate::trace_analysis::{cpu_busy_gpu_idle_nanos_from_telemetry, critical_path_from_telemetry};
+use crate::trace_analysis::{
+    cpu_busy_gpu_idle_nanos_from_telemetry, critical_path_walk_back, merge_busy,
+};
 use crate::workflow::Workflow;
 
 use super::event::{json_escape_into, TelemetryEvent};
@@ -192,13 +194,15 @@ impl RunProfile {
             ..RunProfile::default()
         };
 
-        // One pass over the stream for types, durations, stages,
-        // transfers, caches, and the per-node busy sweep. Per-task state
-        // lives in dense tables and type names are looked up as `&str`,
-        // so no event hashes an id or allocates a name.
+        // One pass over the stream for types, durations, completion
+        // times, stages, transfers, caches, and the per-node residency
+        // edges. Per-task state lives in dense tables and type names are
+        // looked up as `&str`, so no event hashes an id or allocates a
+        // name.
         let bound = workflow.tasks().len();
         let mut type_of: TaskTable<&str> = TaskTable::new(bound);
         let mut dispatched_at: TaskTable<SimTime> = TaskTable::new(bound);
+        let mut end_of: TaskTable<SimTime> = TaskTable::new(bound);
         let mut durations: BTreeMap<&str, Histogram> = BTreeMap::new();
         let mut node_events: BTreeMap<usize, Vec<(u64, i32)>> = BTreeMap::new();
         for ev in log.events() {
@@ -216,6 +220,7 @@ impl RunProfile {
                 }
                 TelemetryEvent::TaskCompleted { at, task, node } => {
                     profile.tasks += 1;
+                    end_of.insert(*task, *at);
                     if let Some(start) = dispatched_at.get(*task) {
                         durations
                             .entry(type_name(&type_of, *task))
@@ -271,24 +276,16 @@ impl RunProfile {
         }
 
         // Per-node busy intervals: merge overlapping task residencies.
-        for (node, mut evs) in node_events {
-            evs.sort();
-            let (mut depth, mut open_at, mut busy, mut intervals) = (0i32, 0u64, 0u64, 0u64);
-            for (t, d) in evs {
-                if depth == 0 && d > 0 {
-                    open_at = t;
-                }
-                depth += d;
-                if depth == 0 && t > open_at {
-                    busy += t - open_at;
-                    intervals += 1;
-                }
-            }
+        for (node, edges) in node_events {
+            let intervals = merge_busy(edges);
             profile.resources.insert(
                 node,
                 ResourceProfile {
-                    busy_ns: busy,
-                    intervals,
+                    busy_ns: intervals
+                        .iter()
+                        .map(|i| i.t1.duration_since(i.t0).as_nanos())
+                        .sum(),
+                    intervals: intervals.len() as u64,
                 },
             );
         }
@@ -296,7 +293,7 @@ impl RunProfile {
         // Critical path, compressed to task-type segments. Segment
         // spans chain from the previous segment's completion, so they
         // sum to the last task's completion time.
-        let hops = critical_path_from_telemetry(workflow, log);
+        let hops = critical_path_walk_back(workflow, &end_of);
         let mut prev_end = 0u64;
         for hop in &hops {
             let ty = match type_of.get(hop.task) {

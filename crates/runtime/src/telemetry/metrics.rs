@@ -36,7 +36,6 @@ use gpuflow_sim::SimDuration;
 
 use super::alert::{AlertEngine, AlertRule, AlertSnapshot};
 use super::event::{LinkKind, TelemetryEvent};
-use super::sink::TelemetrySink;
 use super::TelemetryLog;
 
 /// Default self-sampling interval of the virtual-time series: 10 ms of
@@ -334,7 +333,10 @@ impl MetricsRegistry {
     /// Folds a complete telemetry log into a sealed registry.
     pub fn from_log(log: &TelemetryLog, interval: SimDuration) -> Self {
         let mut reg = MetricsRegistry::new(interval);
-        log.replay(&mut reg);
+        for ev in log.events() {
+            reg.observe(ev);
+        }
+        reg.seal();
         reg
     }
 
@@ -1134,16 +1136,6 @@ impl MetricsRegistry {
         );
         o.push('}');
         o
-    }
-}
-
-impl TelemetrySink for MetricsRegistry {
-    fn on_event(&mut self, ev: &TelemetryEvent) {
-        self.observe(ev);
-    }
-
-    fn finish(&mut self) {
-        self.seal();
     }
 }
 

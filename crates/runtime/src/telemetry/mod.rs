@@ -11,10 +11,10 @@
 //!   [`TelemetryEvent`]s for task lifecycle, scheduler decisions (with
 //!   scored candidate sets and per-decision master overhead), cache
 //!   hit/miss/evict, link transfers, and per-node resource gauges;
-//! * pluggable **sinks** ([`TelemetrySink`]): a Chrome
+//! * writers and folds over the recorded [`TelemetryLog`]: a Chrome
 //!   `trace_event`/Perfetto exporter ([`to_chrome_trace`]), a
-//!   deterministic JSONL serializer ([`JsonlSink`]), and an in-memory
-//!   buffer ([`MemorySink`]);
+//!   deterministic JSONL serializer ([`TelemetryLog::to_jsonl`]), and
+//!   the metrics, span and profile folds;
 //! * an [`OverheadReport`] decomposing the makespan into master /
 //!   compute / data-movement / idle buckets, after the Dask-overheads
 //!   analysis style.
@@ -25,7 +25,8 @@
 //! truth for what happened during a run.
 //!
 //! Enable collection with [`crate::RunConfig::with_telemetry`]; the
-//! resulting [`crate::RunReport::telemetry`] log replays into any sink.
+//! resulting [`crate::RunReport::telemetry`] log is the one record of
+//! the run that every view reads.
 
 mod alert;
 mod chrome;
@@ -36,13 +37,12 @@ mod histogram;
 mod metrics;
 mod overhead;
 mod sampler;
-mod sink;
 mod span;
 
 use std::fmt::Write as _;
 
 pub use alert::{AlertEngine, AlertRule, AlertSeverity, AlertState, AlertTransition, RuleKind};
-pub use chrome::{to_chrome_trace, ChromeTraceSink};
+pub use chrome::to_chrome_trace;
 pub use diff::{
     BucketDelta, CriticalSegment, PathChange, PathDelta, ResourceProfile, RunDiff, RunProfile,
     TaskTypeProfile, TypeDelta,
@@ -55,14 +55,13 @@ pub use metrics::{
 };
 pub use overhead::OverheadReport;
 pub use sampler::{SampleStats, SpanSampler};
-pub use sink::{JsonlSink, MemorySink, TelemetrySink};
 pub use span::{PhaseSpan, SpanForest, SpanPhase, TaskSpans};
 
 /// The executor-side collector: a no-op unless activated, so disabled
 /// runs pay a single branch per emission site.
 ///
 /// Two independent consumers can be attached: the in-memory record
-/// (trace/telemetry collection) and a live [`MetricsHub`] that folds
+/// (telemetry collection) and a live [`MetricsHub`] that folds
 /// each event as it is emitted, so an HTTP scrape sees the run's
 /// current state without buffering the stream.
 #[derive(Debug, Clone, Default)]
@@ -130,7 +129,7 @@ impl EventBus {
     }
 }
 
-/// An immutable, replayable event stream from one run.
+/// An immutable event stream from one run, in emission order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetryLog {
     events: Vec<TelemetryEvent>,
@@ -157,20 +156,15 @@ impl TelemetryLog {
         self.events.is_empty()
     }
 
-    /// Replays the stream into `sink`, calling
-    /// [`TelemetrySink::finish`] at the end.
-    pub fn replay(&self, sink: &mut dyn TelemetrySink) {
-        for ev in &self.events {
-            sink.on_event(ev);
-        }
-        sink.finish();
-    }
-
-    /// The deterministic JSONL serialization of the stream.
+    /// The deterministic JSONL serialization of the stream: one JSON
+    /// object per event, each on its own line.
     pub fn to_jsonl(&self) -> String {
-        let mut sink = JsonlSink::new();
-        self.replay(&mut sink);
-        sink.into_string()
+        let mut out = String::new();
+        for ev in &self.events {
+            out.push_str(&ev.to_json());
+            out.push('\n');
+        }
+        out
     }
 
     /// The scheduler decisions, in dispatch order.
@@ -307,12 +301,14 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_replay_round_trips_counts() {
+    fn jsonl_has_one_line_per_event() {
         let mut bus = EventBus::new(true);
         bus.push(ready(0));
         bus.push(ready(1));
         let log = bus.into_log();
-        assert_eq!(log.to_jsonl().lines().count(), log.len());
+        let jsonl = log.to_jsonl();
+        assert_eq!(jsonl.lines().count(), log.len());
+        assert!(jsonl.ends_with('\n'));
     }
 
     #[test]

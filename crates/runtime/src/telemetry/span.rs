@@ -6,11 +6,9 @@
 //! input-fetch, deserialize, compute, serialize and writeback, plus
 //! retry/resubmit spans whenever the chaos layer re-ran the task.
 //! Causal parent edges point at the data-dependency producer that
-//! finished last — the same latest-finishing-predecessor rule (ties on
-//! the higher [`TaskId`]) as
-//! [`critical_path_from_telemetry`](crate::trace_analysis::critical_path_from_telemetry),
-//! so a walk along causal parents from the last task reproduces the
-//! critical path hop for hop.
+//! finished last, ties on the higher [`TaskId`] — the one rule the
+//! critical-path walk-back uses too. The critical path is marked by
+//! walking those causal parents back from the last task to finish.
 //!
 //! Everything is folded in integer virtual-time nanoseconds from the
 //! deterministic event stream, so the exports ([`SpanForest::to_otlp_json`]
@@ -23,7 +21,7 @@ use gpuflow_chaos::mix64;
 
 use crate::task::{TaskId, TaskTable};
 use crate::trace::TraceState;
-use crate::trace_analysis::critical_path_from_telemetry;
+use crate::trace_analysis::latest_finishing;
 use crate::workflow::Workflow;
 
 use super::event::{json_escape_into, LinkKind, TelemetryEvent};
@@ -274,16 +272,6 @@ impl SpanForest {
             }
         }
 
-        let critical: Vec<bool> = {
-            let mut on = vec![false; n];
-            for hop in critical_path_from_telemetry(workflow, log) {
-                if (hop.task.0 as usize) < n {
-                    on[hop.task.0 as usize] = true;
-                }
-            }
-            on
-        };
-
         let types = workflow.task_types();
         let end_of =
             |folds: &TaskTable<TaskFold>, task: TaskId| folds.get(task).and_then(|f| f.end);
@@ -293,15 +281,13 @@ impl SpanForest {
             let Some((end_ns, node)) = end_of(&folds, task) else {
                 continue;
             };
-            // Latest-finishing completed predecessor, ties to the higher
-            // id — must match `critical_path_walk_back` exactly so the
-            // causal chain from the last task IS the critical path.
-            let causal_parent = workflow
-                .predecessors(task)
-                .iter()
-                .filter_map(|p| end_of(&folds, *p).map(|(e, _)| (e, *p)))
-                .max_by_key(|(e, t)| (*e, *t))
-                .map(|(_, t)| t);
+            let causal_parent = latest_finishing(
+                workflow
+                    .predecessors(task)
+                    .iter()
+                    .filter_map(|p| end_of(&folds, *p).map(|(e, _)| (*p, e))),
+            )
+            .map(|(t, _)| t);
             let (mut ph, start_ns) = match folds.get_mut(task) {
                 Some(f) => (std::mem::take(&mut f.phases), f.start.unwrap_or(end_ns)),
                 None => (Vec::new(), end_ns),
@@ -315,8 +301,17 @@ impl SpanForest {
                 start_ns,
                 end_ns,
                 causal_parent,
-                on_critical_path: critical[id as usize],
+                on_critical_path: false,
             });
+        }
+
+        // The critical path: from the last task to finish, follow the
+        // causal parents back to a root.
+        let mut hop = latest_finishing(tasks.iter().map(|t| (t.task, t.end_ns))).map(|(t, _)| t);
+        while let Some(i) = hop.and_then(|task| tasks.binary_search_by_key(&task, |t| t.task).ok())
+        {
+            tasks[i].on_critical_path = true;
+            hop = tasks[i].causal_parent;
         }
         SpanForest { tasks }
     }
@@ -610,17 +605,77 @@ mod tests {
         assert_eq!(forest.tasks[0].causal_parent, None);
     }
 
-    #[test]
-    fn critical_path_marking_matches_walk_back() {
-        let wf = diamond();
-        let forest = SpanForest::from_telemetry(&wf, &log_for_diamond());
-        let on: Vec<u32> = forest
+    /// The tasks a forest marks as critical, ascending.
+    fn marked(forest: &SpanForest) -> Vec<u32> {
+        forest
             .tasks
             .iter()
             .filter(|t| t.on_critical_path)
             .map(|t| t.task.0)
+            .collect()
+    }
+
+    /// A three-point stencil, `width` cells by `steps` steps.
+    fn stencil(width: usize, steps: usize) -> Workflow {
+        let mut b = WorkflowBuilder::new();
+        let mut prev: Vec<_> = (0..width)
+            .map(|i| b.input(format!("x{i}"), 1 << 20))
             .collect();
-        assert_eq!(on, vec![0, 2, 3]);
+        let cost = CostProfile::fully_parallel(KernelWork::data_parallel(1e9, 1e8));
+        for s in 0..steps {
+            let next: Vec<_> = (0..width)
+                .map(|i| b.intermediate(format!("c{s}_{i}"), 1 << 20))
+                .collect();
+            for (i, &out) in next.iter().enumerate() {
+                let lo = i.saturating_sub(1);
+                let hi = (i + 1).min(width - 1);
+                let mut params: Vec<_> =
+                    prev[lo..=hi].iter().map(|&x| (x, Direction::In)).collect();
+                params.push((out, Direction::Out));
+                b.submit("cell", cost, &params, false).unwrap();
+            }
+            prev = next;
+        }
+        b.build()
+    }
+
+    #[test]
+    fn critical_path_marking_matches_walk_back() {
+        use crate::trace_analysis::critical_path_from_telemetry;
+        use crate::{run, RunConfig};
+        use gpuflow_chaos::FaultPlan;
+        use gpuflow_cluster::{ClusterSpec, ProcessorKind, StorageArchitecture};
+
+        let wf = diamond();
+        let forest = SpanForest::from_telemetry(&wf, &log_for_diamond());
+        assert_eq!(marked(&forest), vec![0, 2, 3]);
+
+        // A faulted run: a node crash that loses local-disk blocks
+        // (lineage re-execution) and transient failures (retries).
+        let wf = stencil(6, 6);
+        let mut cfg = RunConfig::new(ClusterSpec::tiny(), ProcessorKind::Cpu)
+            .with_storage(StorageArchitecture::LocalDisk)
+            .with_telemetry();
+        cfg.jitter_sigma = 0.0;
+        let m = run(&wf, &cfg).unwrap().makespan();
+        let plan = FaultPlan::new(17)
+            .with_node_crash(0, m * 0.5, Some(m * 0.1))
+            .with_task_failures(Some("cell"), 0.2);
+        let report = run(&wf, &cfg.with_faults(plan)).unwrap();
+        assert!(report.recovery.retries > 0, "{:?}", report.recovery);
+        assert!(
+            report.recovery.regenerated_tasks > 0,
+            "{:?}",
+            report.recovery
+        );
+        let forest = SpanForest::from_telemetry(&wf, &report.telemetry);
+        let mut walk: Vec<u32> = critical_path_from_telemetry(&wf, &report.telemetry)
+            .iter()
+            .map(|h| h.task.0)
+            .collect();
+        walk.sort();
+        assert!(walk.len() > 1);
+        assert_eq!(marked(&forest), walk);
     }
 
     #[test]

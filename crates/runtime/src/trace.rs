@@ -91,12 +91,11 @@ impl Trace {
         &self.records
     }
 
-    /// Rebuilds a trace from the stage intervals of a telemetry event
-    /// stream — the single source of truth the executor emits. The
-    /// result is identical to the trace the executor collects inline:
-    /// stage events are emitted at exactly the historical `push` sites,
-    /// in the same order, and zero-length intervals are dropped here
-    /// the same way.
+    /// Builds the trace from the `Stage` events of a run's telemetry
+    /// stream (collected under [`crate::RunConfig::with_telemetry`]),
+    /// the one record of a run. Records keep stream order; zero-length
+    /// intervals are dropped, as [`Trace::push`] does. An empty stream
+    /// gives an empty trace.
     pub fn from_telemetry(log: &crate::telemetry::TelemetryLog) -> Self {
         let mut trace = Trace::new();
         for ev in log.events() {

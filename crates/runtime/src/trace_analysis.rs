@@ -3,8 +3,8 @@
 //! The paper extracts its data-movement metrics from Paraver traces
 //! (§4.4.3) and motivates the whole study with *resource wastage*: "a non
 //! desirable situation would be to keep the CPUs busy while the GPUs stay
-//! idle" (§1). This module turns a [`Trace`] plus the task records into
-//! those analyses:
+//! idle" (§1). This module turns a [`Trace`], the task records or the
+//! telemetry stream into those analyses:
 //!
 //! * per-node busy/idle timelines and utilization profiles,
 //! * state-time breakdowns (how much of the run went to deserialization
@@ -89,76 +89,157 @@ pub struct BusyInterval {
 /// Per-node busy timelines derived from task records (a task is "busy"
 /// on its node from dispatch to completion, like a Paraver worker lane).
 pub fn node_timelines(records: &[TaskRecord]) -> BTreeMap<usize, Vec<BusyInterval>> {
-    // Sweep per node: +1 at start, -1 at end.
-    let mut events: BTreeMap<usize, Vec<(u64, i32)>> = BTreeMap::new();
+    let mut edges: BTreeMap<usize, Vec<(u64, i32)>> = BTreeMap::new();
     for r in records {
-        let e = events.entry(r.node).or_default();
-        e.push((r.start.as_nanos(), 1));
-        e.push((r.end.as_nanos(), -1));
+        edges
+            .entry(r.node)
+            .or_default()
+            .extend([(r.start.as_nanos(), 1), (r.end.as_nanos(), -1)]);
     }
-    let mut out = BTreeMap::new();
-    for (node, mut evs) in events {
-        evs.sort();
-        let mut intervals = Vec::new();
-        let mut depth = 0i32;
-        let mut open_at = 0u64;
-        let mut min_c = usize::MAX;
-        for (t, d) in evs {
-            if depth == 0 && d > 0 {
-                open_at = t;
-                min_c = usize::MAX;
-            }
-            depth += d;
-            if depth > 0 {
-                min_c = min_c.min(depth as usize);
-            }
-            if depth == 0 && t > open_at {
-                intervals.push(BusyInterval {
-                    t0: SimTime::from_nanos(open_at),
-                    t1: SimTime::from_nanos(t),
-                    min_concurrency: if min_c == usize::MAX { 1 } else { min_c },
-                });
-            }
-        }
-        out.insert(node, intervals);
-    }
-    out
+    edges
+        .into_iter()
+        .map(|(node, edges)| (node, merge_busy(edges)))
+        .collect()
 }
 
-/// The resource-wastage measure of §1: seconds during which at least
-/// `cpu_threshold` CPU cores are busy while *no* GPU kernel runs
-/// ("CPUs busy while the GPUs stay idle"). Multi-threaded CPU tasks
-/// count every core they hold, not just the first. Only meaningful for
-/// GPU runs.
-pub fn cpu_busy_gpu_idle_seconds(records: &[TaskRecord], cpu_threshold: usize) -> f64 {
-    // Event sweep over two counters.
-    let mut events: Vec<(u64, i32, i32)> = Vec::new(); // (t, d_cpu, d_gpu)
-    for r in records {
-        match r.processor {
-            ProcessorKind::Cpu => {
-                let cores = r.cores.max(1) as i32;
-                events.push((r.start.as_nanos(), cores, 0));
-                events.push((r.end.as_nanos(), -cores, 0));
-            }
-            ProcessorKind::Gpu => {
-                events.push((r.start.as_nanos(), 0, 1));
-                events.push((r.end.as_nanos(), 0, -1));
-            }
+/// Merges residency edges `(t_ns, +1 | -1)` on one node into busy
+/// intervals: an interval opens when the depth leaves zero and closes
+/// when it returns there. Empty intervals are dropped.
+pub(crate) fn merge_busy(mut edges: Vec<(u64, i32)>) -> Vec<BusyInterval> {
+    edges.sort();
+    let mut intervals = Vec::new();
+    let mut depth = 0i32;
+    let mut open_at = 0u64;
+    let mut min_c = usize::MAX;
+    for (t, d) in edges {
+        if depth == 0 && d > 0 {
+            open_at = t;
+            min_c = usize::MAX;
+        }
+        depth += d;
+        if depth > 0 {
+            min_c = min_c.min(depth as usize);
+        }
+        if depth == 0 && t > open_at {
+            intervals.push(BusyInterval {
+                t0: SimTime::from_nanos(open_at),
+                t1: SimTime::from_nanos(t),
+                min_concurrency: if min_c == usize::MAX { 1 } else { min_c },
+            });
         }
     }
-    events.sort();
+    intervals
+}
+
+/// One task attempt's residency: from its dispatch to its completion
+/// or failure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AttemptWindow {
+    /// Dispatch instant.
+    pub t0: SimTime,
+    /// Completion or failure instant.
+    pub t1: SimTime,
+    /// Host cores held; a CPU attempt counts at least one.
+    pub cores: u16,
+    /// Whether the attempt held a GPU (its cores then do not count as
+    /// CPU-busy).
+    pub on_gpu: bool,
+}
+
+/// The attempt windows of a telemetry stream: a `TaskDispatched` opens
+/// a window that the task's next `TaskCompleted` or `TaskFailed`
+/// closes, so failed attempts release their cores and GPU too. Windows
+/// come out in closing order; an attempt the stream never closes
+/// yields none.
+pub fn attempt_windows(log: &TelemetryLog) -> Vec<AttemptWindow> {
+    // A full stream dispatches every task, so its ids lie below its
+    // length; the table spills anything else.
+    let mut open: TaskTable<AttemptWindow> = TaskTable::new(log.len());
+    let mut windows = Vec::new();
+    for ev in log.events() {
+        match ev {
+            TelemetryEvent::TaskDispatched {
+                at,
+                task,
+                cores,
+                gpu,
+                ..
+            } => {
+                open.insert(
+                    *task,
+                    AttemptWindow {
+                        t0: *at,
+                        t1: *at,
+                        cores: *cores,
+                        on_gpu: gpu.is_some(),
+                    },
+                );
+            }
+            TelemetryEvent::TaskCompleted { at, task, .. }
+            | TelemetryEvent::TaskFailed { at, task, .. } => {
+                if let Some(w) = open.remove(*task) {
+                    windows.push(AttemptWindow { t1: *at, ..w });
+                }
+            }
+            _ => {}
+        }
+    }
+    windows
+}
+
+/// The one CPU-busy/GPU-idle sweep behind both wastage measures, in
+/// ns. A threshold of 0 counts as 1, so a fully idle cluster wastes
+/// nothing.
+fn cpu_busy_gpu_idle_ns(
+    windows: impl IntoIterator<Item = AttemptWindow>,
+    cpu_threshold: usize,
+) -> u64 {
+    let mut edges: Vec<(u64, i32, i32)> = Vec::new(); // (t, d_cpu, d_gpu)
+    for w in windows {
+        let (dc, dg) = if w.on_gpu {
+            (0, 1)
+        } else {
+            (i32::from(w.cores.max(1)), 0)
+        };
+        edges.push((w.t0.as_nanos(), dc, dg));
+        edges.push((w.t1.as_nanos(), -dc, -dg));
+    }
+    edges.sort();
+    let threshold = cpu_threshold.max(1);
     let (mut cpu, mut gpu) = (0i32, 0i32);
     let mut wasted = 0u64;
     let mut prev = 0u64;
-    for (t, dc, dg) in events {
-        if cpu as usize >= cpu_threshold && gpu == 0 {
+    for (t, dc, dg) in edges {
+        if cpu as usize >= threshold && gpu == 0 {
             wasted += t - prev;
         }
         cpu += dc;
         gpu += dg;
         prev = t;
     }
-    wasted as f64 / 1e9
+    wasted
+}
+
+/// The resource-wastage measure of §1: seconds during which at least
+/// `max(cpu_threshold, 1)` CPU cores are busy while *no* GPU kernel
+/// runs ("CPUs busy while the GPUs stay idle"), over each record's
+/// dispatch-to-completion window. Multi-threaded CPU tasks count every
+/// core they hold. Only meaningful for GPU runs.
+pub fn cpu_busy_gpu_idle_seconds(records: &[TaskRecord], cpu_threshold: usize) -> f64 {
+    let windows = records.iter().map(|r| AttemptWindow {
+        t0: r.start,
+        t1: r.end,
+        cores: r.cores,
+        on_gpu: r.processor == ProcessorKind::Gpu,
+    });
+    cpu_busy_gpu_idle_ns(windows, cpu_threshold) as f64 / 1e9
+}
+
+/// The same wastage measure in integer nanoseconds over the
+/// [`attempt_windows`] of a telemetry stream, failed attempts included,
+/// for exact profile digests ([`crate::telemetry::RunProfile`]).
+pub fn cpu_busy_gpu_idle_nanos_from_telemetry(log: &TelemetryLog, cpu_threshold: usize) -> u64 {
+    cpu_busy_gpu_idle_ns(attempt_windows(log), cpu_threshold)
 }
 
 /// One hop of the critical path.
@@ -181,32 +262,35 @@ pub fn critical_path(workflow: &Workflow, records: &[TaskRecord]) -> Vec<Critica
     critical_path_walk_back(workflow, &end_of)
 }
 
-/// The shared walk-back over per-task completion times: start at the
-/// latest-finishing task, repeatedly hop to the latest-finishing
-/// predecessor. Ties break on the higher [`TaskId`], so the record- and
-/// telemetry-fed variants agree hop for hop.
-fn critical_path_walk_back(workflow: &Workflow, end_of: &TaskTable<SimTime>) -> Vec<CriticalHop> {
-    let Some((last, &last_end)) = end_of.iter().max_by_key(|&(t, at)| (*at, t)) else {
-        return Vec::new();
-    };
-    let mut path = vec![CriticalHop {
-        task: last,
-        end: last_end,
-    }];
-    let mut current = last;
-    loop {
-        let pred = workflow
-            .predecessors(current)
-            .iter()
-            .filter_map(|p| end_of.get(*p).map(|end| (*p, *end)))
-            .max_by_key(|&(task, end)| (end, task));
-        match pred {
-            Some((task, end)) => {
-                path.push(CriticalHop { task, end });
-                current = task;
-            }
-            None => break,
-        }
+/// The critical-path rule: of `(task, end)` candidates, the one that
+/// finished last, ties to the higher [`TaskId`]. The walk-back and the
+/// span forest's causal parents both choose with it, so a walk along
+/// causal parents from the last task is the critical path.
+pub(crate) fn latest_finishing<T: Ord + Copy>(
+    candidates: impl IntoIterator<Item = (TaskId, T)>,
+) -> Option<(TaskId, T)> {
+    candidates
+        .into_iter()
+        .max_by_key(|&(task, end)| (end, task))
+}
+
+/// The walk-back over per-task completion times: start at the
+/// latest-finishing task and repeatedly hop to the latest-finishing
+/// predecessor ([`latest_finishing`]).
+pub(crate) fn critical_path_walk_back(
+    workflow: &Workflow,
+    end_of: &TaskTable<SimTime>,
+) -> Vec<CriticalHop> {
+    let mut path = Vec::new();
+    let mut hop = latest_finishing(end_of.iter().map(|(task, end)| (task, *end)));
+    while let Some((task, end)) = hop {
+        path.push(CriticalHop { task, end });
+        hop = latest_finishing(
+            workflow
+                .predecessors(task)
+                .iter()
+                .filter_map(|p| end_of.get(*p).map(|end| (*p, *end))),
+        );
     }
     path.reverse();
     path
@@ -222,75 +306,6 @@ pub fn node_utilization(records: &[TaskRecord], makespan: f64) -> BTreeMap<usize
             (node, busy / makespan.max(1e-12))
         })
         .collect()
-}
-
-// ---------------------------------------------------------------------
-// Telemetry-stream adapters: the same analytics, fed from the runtime
-// event bus instead of post-hoc records, so traces, wastage, and the
-// overhead decomposition all read one source of truth.
-// ---------------------------------------------------------------------
-
-/// [`state_breakdown`] computed from a telemetry event stream.
-pub fn state_breakdown_from_telemetry(log: &TelemetryLog) -> StateBreakdown {
-    state_breakdown(&Trace::from_telemetry(log))
-}
-
-/// [`cpu_busy_gpu_idle_seconds`] computed from a telemetry event
-/// stream: dispatch/completion events bound each task's busy window,
-/// dispatch events carry the held core count and the device kind.
-pub fn cpu_busy_gpu_idle_from_telemetry(log: &TelemetryLog, cpu_threshold: usize) -> f64 {
-    cpu_busy_gpu_idle_nanos_from_telemetry(log, cpu_threshold) as f64 / 1e9
-}
-
-/// [`cpu_busy_gpu_idle_from_telemetry`] on the integer nanosecond grid,
-/// for exact profile digests ([`crate::telemetry::RunProfile`]).
-pub fn cpu_busy_gpu_idle_nanos_from_telemetry(log: &TelemetryLog, cpu_threshold: usize) -> u64 {
-    // A full stream dispatches every task, so its ids lie below its
-    // length; the table spills anything else.
-    let mut open: TaskTable<(i32, bool)> = TaskTable::new(log.len());
-    let mut events: Vec<(u64, i32, i32)> = Vec::new();
-    for ev in log.events() {
-        match ev {
-            TelemetryEvent::TaskDispatched {
-                at,
-                task,
-                cores,
-                gpu,
-                ..
-            } => {
-                let on_gpu = gpu.is_some();
-                open.insert(*task, ((*cores).max(1) as i32, on_gpu));
-                if on_gpu {
-                    events.push((at.as_nanos(), 0, 1));
-                } else {
-                    events.push((at.as_nanos(), (*cores).max(1) as i32, 0));
-                }
-            }
-            TelemetryEvent::TaskCompleted { at, task, .. } => {
-                if let Some((cores, on_gpu)) = open.remove(*task) {
-                    if on_gpu {
-                        events.push((at.as_nanos(), 0, -1));
-                    } else {
-                        events.push((at.as_nanos(), -cores, 0));
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    events.sort();
-    let (mut cpu, mut gpu) = (0i32, 0i32);
-    let mut wasted = 0u64;
-    let mut prev = 0u64;
-    for (t, dc, dg) in events {
-        if cpu as usize >= cpu_threshold && cpu > 0 && gpu == 0 {
-            wasted += t - prev;
-        }
-        cpu += dc;
-        gpu += dg;
-        prev = t;
-    }
-    wasted
 }
 
 /// [`critical_path`] computed from a telemetry event stream: completion
@@ -402,6 +417,71 @@ mod tests {
             rec(1, 0, ProcessorKind::Gpu, 0.0, 2.0),
         ];
         assert_eq!(cpu_busy_gpu_idle_seconds(&records, 1), 0.0);
+    }
+
+    #[test]
+    fn wastage_ignores_a_fully_idle_cluster_at_threshold_zero() {
+        // CPU busy 0..1 and 3..4; nothing runs in 1..3.
+        let records = vec![
+            rec(0, 0, ProcessorKind::Cpu, 0.0, 1.0),
+            rec(1, 0, ProcessorKind::Cpu, 3.0, 4.0),
+        ];
+        assert!((cpu_busy_gpu_idle_seconds(&records, 0) - 2.0).abs() < 1e-9);
+        assert_eq!(
+            cpu_busy_gpu_idle_seconds(&records, 0),
+            cpu_busy_gpu_idle_seconds(&records, 1)
+        );
+    }
+
+    #[test]
+    fn failed_attempts_close_their_wastage_windows() {
+        let dispatch =
+            |at: u64, task: u32, cores: u16, gpu: Option<u16>| TelemetryEvent::TaskDispatched {
+                at: SimTime::from_nanos(at),
+                task: TaskId(task),
+                task_type: "t".into(),
+                node: 0,
+                core: 0,
+                cores,
+                gpu,
+            };
+        let failed = |at: u64, task: u32| TelemetryEvent::TaskFailed {
+            at: SimTime::from_nanos(at),
+            task: TaskId(task),
+            node: 0,
+            attempt: 0,
+            started: SimTime::ZERO,
+            reason: "transient",
+        };
+        let completed = |at: u64, task: u32| TelemetryEvent::TaskCompleted {
+            at: SimTime::from_nanos(at),
+            task: TaskId(task),
+            node: 0,
+        };
+        let log = TelemetryLog::from_events(vec![
+            dispatch(0, 0, 2, None),    // CPU attempt on 2 cores ...
+            dispatch(0, 1, 1, Some(0)), // ... beside a GPU attempt
+            failed(100, 1),             // the GPU attempt fails
+            failed(300, 0),             // then the CPU attempt
+            dispatch(400, 0, 1, None),  // the CPU retry
+            completed(600, 0),
+            dispatch(700, 1, 1, Some(0)), // the GPU retry
+            completed(900, 1),
+        ]);
+        let windows = attempt_windows(&log);
+        assert_eq!(windows.len(), 4, "every dispatch closes: {windows:?}");
+        assert_eq!(
+            windows[0],
+            AttemptWindow {
+                t0: SimTime::ZERO,
+                t1: SimTime::from_nanos(100),
+                cores: 1,
+                on_gpu: true,
+            }
+        );
+        // CPU busy, GPU idle: [100, 300) on 2 cores + [400, 600) on 1.
+        assert_eq!(cpu_busy_gpu_idle_nanos_from_telemetry(&log, 1), 400);
+        assert_eq!(cpu_busy_gpu_idle_nanos_from_telemetry(&log, 2), 200);
     }
 
     #[test]

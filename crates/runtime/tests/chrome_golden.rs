@@ -17,6 +17,7 @@
 //! `GOLDEN_REGEN=1 cargo test -p gpuflow-runtime --test chrome_golden`
 
 use gpuflow_cluster::{ClusterSpec, KernelWork, ProcessorKind, StorageArchitecture};
+use gpuflow_runtime::trace_analysis::attempt_windows;
 use gpuflow_runtime::{
     run, to_chrome_trace, CostProfile, Direction, FaultPlan, OverheadReport, RecoveryPolicy,
     RunConfig, RunProfile, RunReport, TelemetryEvent, TelemetryLog, Workflow, WorkflowBuilder,
@@ -179,6 +180,11 @@ fn chaos_chrome_trace_matches_golden() {
         ),
         "the chaos run must fail a task transiently"
     );
+
+    // Every attempt the run dispatched closes — failed ones included —
+    // so the wastage sweep ends with no cores or GPUs still held.
+    let dispatches = events.iter().filter(|e| e.kind() == "dispatch").count();
+    assert_eq!(attempt_windows(&report.telemetry).len(), dispatches);
 
     // Drop the dispatches of the last-completing task so its completion
     // renders under the `t{id}` fallback name.

@@ -12,7 +12,8 @@
 
 use gpuflow_cluster::{ClusterSpec, KernelWork, ProcessorKind};
 use gpuflow_runtime::{
-    paraver_pcf, run, to_paraver_prv, CostProfile, Direction, RunConfig, Workflow, WorkflowBuilder,
+    paraver_pcf, run, to_paraver_prv, CostProfile, Direction, RunConfig, Trace, Workflow,
+    WorkflowBuilder,
 };
 
 const MB: u64 = 1 << 20;
@@ -85,11 +86,12 @@ fn golden_compare(name: &str, actual: &str) {
 fn prv_export_matches_golden() {
     let cluster = ClusterSpec::tiny();
     let nodes = cluster.nodes;
-    let mut cfg = RunConfig::new(cluster, ProcessorKind::Gpu).with_trace();
+    let mut cfg = RunConfig::new(cluster, ProcessorKind::Gpu).with_telemetry();
     cfg.jitter_sigma = 0.0;
     let report = run(&diamond_workflow(), &cfg).expect("diamond runs");
-    assert!(!report.trace.is_empty(), "trace must have records");
-    golden_compare("diamond.prv", &to_paraver_prv(&report.trace, nodes));
+    let trace = Trace::from_telemetry(&report.telemetry);
+    assert!(!trace.is_empty(), "trace must have records");
+    golden_compare("diamond.prv", &to_paraver_prv(&trace, nodes));
 }
 
 #[test]

@@ -9,7 +9,7 @@
 use gpuflow::algorithms::KmeansConfig;
 use gpuflow::cluster::{ClusterSpec, ProcessorKind};
 use gpuflow::data::DatasetSpec;
-use gpuflow::runtime::{run, RunConfig};
+use gpuflow::runtime::{run, RunConfig, Trace};
 
 fn main() {
     // A 256 MB synthetic dataset: 320k samples x 100 features, split into
@@ -34,7 +34,7 @@ fn main() {
     );
 
     for processor in ProcessorKind::ALL {
-        let config = RunConfig::new(cluster.clone(), processor).with_trace();
+        let config = RunConfig::new(cluster.clone(), processor).with_telemetry();
         let report = run(&workflow, &config).expect("run succeeds");
         let ps = report
             .metrics
@@ -63,6 +63,7 @@ fn main() {
             report.metrics.cache_hits, report.metrics.cache_misses
         );
         println!("\nfirst tasks (d=deser s=serial #=parallel ~=comm w=ser):");
-        println!("{}", report.trace.to_ascii_gantt(72, 6));
+        let trace = Trace::from_telemetry(&report.telemetry);
+        println!("{}", trace.to_ascii_gantt(72, 6));
     }
 }

@@ -44,7 +44,7 @@ use gpuflow::cluster::{ClusterSpec, ProcessorKind, StorageArchitecture};
 use gpuflow::runtime::{
     run, to_chrome_trace, to_collapsed, to_paraver_prv, trace_analysis, MetricsHub,
     MetricsRegistry, OverheadReport, RunConfig, RunDiff, RunProfile, SchedulingPolicy, SpanForest,
-    SpanSampler, Workflow,
+    SpanSampler, Trace, Workflow,
 };
 use gpuflow::sim::SimDuration;
 
@@ -73,7 +73,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         config = config.with_faults(plan);
     }
     if want_trace {
-        config = config.with_trace();
+        config = config.with_telemetry();
     }
 
     let shape = workflow.shape();
@@ -119,13 +119,14 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         );
         println!("output fingerprint: {:#018x}", report.output_fingerprint);
     }
+    let trace = Trace::from_telemetry(&report.telemetry);
     if let Some(path) = args.get("prv") {
-        let prv = to_paraver_prv(&report.trace, cluster.nodes);
+        let prv = to_paraver_prv(&trace, cluster.nodes);
         std::fs::write(path, prv).map_err(|e| format!("writing {path}: {e}"))?;
         println!("paraver trace written to {path}");
     }
     if let Some(path) = args.get("csv") {
-        std::fs::write(path, report.trace.to_csv()).map_err(|e| format!("writing {path}: {e}"))?;
+        std::fs::write(path, trace.to_csv()).map_err(|e| format!("writing {path}: {e}"))?;
         println!("csv trace written to {path}");
     }
     Ok(())

@@ -8,7 +8,7 @@ use gpuflow::algorithms::{
 };
 use gpuflow::cluster::{ClusterSpec, ProcessorKind};
 use gpuflow::data::{DatasetSpec, DsArray, GridDim};
-use gpuflow::runtime::{run, RunConfig, RunError};
+use gpuflow::runtime::{run, RunConfig, RunError, Trace};
 
 #[test]
 fn blocked_and_fma_matmul_agree_with_dense_at_test_scale() {
@@ -54,7 +54,7 @@ fn executor_bookkeeping_is_consistent() {
         .unwrap()
         .build_workflow();
     let cluster = ClusterSpec::minotauro();
-    let cfg = RunConfig::new(cluster.clone(), ProcessorKind::Gpu).with_trace();
+    let cfg = RunConfig::new(cluster.clone(), ProcessorKind::Gpu).with_telemetry();
     let report = run(&wf, &cfg).unwrap();
 
     // The full bookkeeping audit plus spot checks below.
@@ -82,7 +82,7 @@ fn executor_bookkeeping_is_consistent() {
         }
     }
     // Trace CSV round-trips structurally.
-    let csv = report.trace.to_csv();
+    let csv = Trace::from_telemetry(&report.telemetry).to_csv();
     assert!(csv.lines().count() > wf.tasks().len());
     for line in csv.lines().skip(1) {
         assert_eq!(line.split(',').count(), 6, "bad trace row: {line}");

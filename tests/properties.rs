@@ -5,7 +5,7 @@
 use gpuflow::analysis::{ranks, spearman};
 use gpuflow::cluster::{ClusterSpec, KernelWork, ProcessorKind};
 use gpuflow::data::{BlockCoord, BlockDim, DatasetDim, DatasetSpec, DsArray, DsArraySpec, GridDim};
-use gpuflow::runtime::{run, CostProfile, Direction, RunConfig, WorkflowBuilder};
+use gpuflow::runtime::{run, CostProfile, Direction, RunConfig, Trace, WorkflowBuilder};
 use gpuflow::sim::{Engine, FairShareLink, GroupedLink, SimTime};
 use proptest::prelude::*;
 
@@ -246,14 +246,14 @@ proptest! {
         let cluster = ClusterSpec::tiny();
         let cfg = RunConfig::new(cluster, ProcessorKind::Gpu)
             .with_seed(seed)
-            .with_trace();
+            .with_telemetry();
         let report = run(&wf, &cfg).unwrap();
         for (_, u) in ta::node_utilization(&report.records, report.makespan()) {
             prop_assert!((0.0..=1.0 + 1e-9).contains(&u));
         }
-        let breakdown = ta::state_breakdown(&report.trace);
-        let traced: f64 = report
-            .trace
+        let trace = Trace::from_telemetry(&report.telemetry);
+        let breakdown = ta::state_breakdown(&trace);
+        let traced: f64 = trace
             .records()
             .iter()
             .map(|r| (r.t1 - r.t0).as_secs_f64())

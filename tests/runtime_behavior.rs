@@ -9,7 +9,8 @@ use gpuflow::cluster::{
 };
 use gpuflow::data::{DatasetSpec, GridDim};
 use gpuflow::runtime::{
-    run, to_paraver_prv, CostProfile, Direction, RunConfig, SchedulingPolicy, WorkflowBuilder,
+    run, to_paraver_prv, CostProfile, Direction, RunConfig, SchedulingPolicy, Trace,
+    WorkflowBuilder,
 };
 
 fn compute_cost(flops: f64) -> CostProfile {
@@ -193,10 +194,11 @@ fn paraver_export_is_well_formed_for_real_runs() {
     let cluster = ClusterSpec::minotauro();
     let report = run(
         &wf,
-        &RunConfig::new(cluster.clone(), ProcessorKind::Gpu).with_trace(),
+        &RunConfig::new(cluster.clone(), ProcessorKind::Gpu).with_telemetry(),
     )
     .unwrap();
-    let prv = to_paraver_prv(&report.trace, cluster.nodes);
+    let trace = Trace::from_telemetry(&report.telemetry);
+    let prv = to_paraver_prv(&trace, cluster.nodes);
     let mut lines = prv.lines();
     assert!(lines.next().unwrap().starts_with("#Paraver"));
     for line in lines {
@@ -210,7 +212,7 @@ fn paraver_export_is_well_formed_for_real_runs() {
         assert!(end > begin);
     }
     // Every traced interval appears.
-    assert_eq!(prv.lines().count(), report.trace.len() + 1);
+    assert_eq!(prv.lines().count(), trace.len() + 1);
 }
 
 #[test]
