@@ -167,6 +167,16 @@ fn telemetry_jsonl_is_identical_across_thread_counts() {
     assert!(concurrent.iter().all(|j| *j == single));
 }
 
+/// The decision log and the overhead report carry simulation time only,
+/// so two bundles of the same context render byte-identical text.
+#[test]
+fn obs_renders_are_identical_across_reruns() {
+    let ctx = Context::default();
+    let (a, b) = (obs::run(&ctx), obs::run(&ctx));
+    assert_eq!(a.decisions, b.decisions);
+    assert_eq!(a.overhead.render(), b.overhead.render());
+}
+
 /// An *empty* fault plan is a pure observer, exactly like disabled
 /// telemetry: attaching it (plus the default recovery policy) changes no
 /// artifact bit — makespan, telemetry JSONL (whose stage events are the

@@ -148,7 +148,7 @@ impl RuleCode {
                 "Instant::now/SystemTime read the host clock, so their values differ every \
                  run. Simulated time (SimTime/SimDuration) is the only clock allowed on \
                  result paths. Host-clock probes are legitimate only for self-measurement \
-                 (e.g. telemetry overhead host_nanos, progress lines on stderr) where the \
+                 (e.g. benchmark timers, progress lines on stderr) where the \
                  value never reaches a deterministic artifact — annotate those."
             }
             RuleCode::D3 => {

@@ -30,7 +30,9 @@ use crate::cache::BlockCache;
 use crate::data::{DataId, DataVersion};
 use crate::jobs::JobSchedule;
 use crate::metrics::{RunMetrics, TaskRecord};
-use crate::scheduler::{decision_overhead, place, NodeAvail, ReadyQueue, SchedulingPolicy};
+use crate::scheduler::{
+    decision_overhead, place, NodeAvail, ReadyQueue, SchedulingPolicy, TaskClass,
+};
 use crate::task::TaskId;
 use crate::telemetry::{
     CandidateScore, EventBus, LinkKind, MetricsHub, SchedulerDecision, TelemetryEvent, TelemetryLog,
@@ -1064,15 +1066,9 @@ impl<'a> Exec<'a> {
                 );
             }
         }
-        for (i, &d) in self.deps_left.iter().enumerate() {
-            if d == 0 && !self.unarrived.contains(&(i as u32)) {
-                self.ready.insert(self.upward_rank[i], TaskId(i as u32));
-                if self.bus.active() {
-                    self.bus.push(TelemetryEvent::TaskReady {
-                        at: SimTime::ZERO,
-                        task: TaskId(i as u32),
-                    });
-                }
+        for i in 0..self.deps_left.len() {
+            if self.deps_left[i] == 0 && !self.unarrived.contains(&(i as u32)) {
+                self.make_ready(TaskId(i as u32), SimTime::ZERO);
             }
         }
     }
@@ -1082,13 +1078,7 @@ impl<'a> Exec<'a> {
         if !self.unarrived.remove(&tid.0) {
             return;
         }
-        self.ready.insert(self.upward_rank[tid.0 as usize], tid);
-        if self.bus.active() {
-            self.bus.push(TelemetryEvent::TaskReady {
-                at: self.now(),
-                task: tid,
-            });
-        }
+        self.make_ready(tid, self.now());
         self.try_start_master();
     }
 
@@ -1162,11 +1152,7 @@ impl<'a> Exec<'a> {
             gate.consumed[job.tenant] += job.task_count();
             for &r in &job.roots {
                 if self.unarrived.remove(&r.0) {
-                    self.ready.insert(self.upward_rank[r.0 as usize], r);
-                    if self.bus.active() {
-                        self.bus
-                            .push(TelemetryEvent::TaskReady { at: now, task: r });
-                    }
+                    self.make_ready(r, now);
                 }
             }
         }
@@ -1205,19 +1191,44 @@ impl<'a> Exec<'a> {
 
     /// Does this task offload its parallel fraction to a GPU in this run?
     fn is_gpu_task(&self, tid: TaskId) -> bool {
-        let t = self.wf.task(tid);
-        self.cfg.processor == ProcessorKind::Gpu && !t.cpu_only && t.cost.parallel.flops > 0.0
+        self.class_of(tid) == TaskClass::Gpu
     }
 
     /// Host cores a task occupies: GPU tasks and serial tasks hold one;
     /// CPU tasks with a parallel fraction hold the configured thread
     /// count.
     fn cores_needed(&self, tid: TaskId) -> usize {
+        self.class_of(tid).cores(self.cfg.cpu_threads_per_task)
+    }
+
+    /// The one source of a task's resource class. In a GPU run, a task
+    /// with a parallel fraction runs on a GPU unless it is CPU-only.
+    /// Otherwise a task without a parallel fraction is serial, and one
+    /// with it holds the configured thread count of cores.
+    fn class_of(&self, tid: TaskId) -> TaskClass {
         let t = self.wf.task(tid);
-        if self.is_gpu_task(tid) || t.cost.parallel.flops <= 0.0 {
-            1
+        if self.cfg.processor == ProcessorKind::Gpu && !t.cpu_only && t.cost.parallel.flops > 0.0 {
+            TaskClass::Gpu
+        } else if t.cost.parallel.flops <= 0.0 {
+            TaskClass::CpuSerial
         } else {
-            self.cfg.cpu_threads_per_task
+            TaskClass::CpuParallel
+        }
+    }
+
+    /// Queues `tid` under its class and upward rank, without telemetry
+    /// (a re-queue after a failed assignment).
+    fn enqueue(&mut self, tid: TaskId) {
+        let class = self.class_of(tid);
+        self.ready
+            .insert(class, self.upward_rank[tid.0 as usize], tid);
+    }
+
+    /// Queues `tid` and records that it became ready at `at`.
+    fn make_ready(&mut self, tid: TaskId, at: SimTime) {
+        self.enqueue(tid);
+        if self.bus.active() {
+            self.bus.push(TelemetryEvent::TaskReady { at, task: tid });
         }
     }
 
@@ -1283,7 +1294,8 @@ impl<'a> Exec<'a> {
         if self.faults.is_some() && !self.node_up[node] {
             return 0;
         }
-        if self.is_gpu_task(tid) {
+        let class = self.class_of(tid);
+        if class == TaskClass::Gpu {
             if self.faults.is_some() && self.alive_gpus(node) == 0 {
                 // Every device on the node is dead: degrade to a CPU
                 // core when the policy allows it, else the node cannot
@@ -1296,7 +1308,7 @@ impl<'a> Exec<'a> {
             }
             self.free_cores[node].min(self.free_gpus[node])
         } else {
-            self.free_cores[node] / self.cores_needed(tid)
+            self.free_cores[node] / class.cores(self.cfg.cpu_threads_per_task)
         }
     }
 
@@ -1305,10 +1317,11 @@ impl<'a> Exec<'a> {
             return;
         }
         // O(nodes) pre-aggregates. `place` succeeds exactly when some
-        // node has a free slot for the task's resource kind, i.e. when
+        // node has a free slot for the task's resource class, i.e. when
         // the matching aggregate below is non-zero — so the first ready
-        // task (in dispatch order) passing these O(1) tests is the one
-        // the seed implementation placed after scoring every candidate.
+        // task (in dispatch order) whose class passes these O(1) tests
+        // is the one the seed implementation placed after scoring every
+        // candidate.
         let chaos = self.faults.is_some();
         let nodes = self.cfg.cluster.nodes;
         let total_free_cores: usize = if chaos {
@@ -1354,27 +1367,17 @@ impl<'a> Exec<'a> {
                 .map(|(&c, &g)| c.min(g))
                 .sum()
         };
-        // Find-and-remove in one queue walk. `queue_depth` is sampled
-        // first so telemetry still counts the chosen task (the seed
-        // removed it only after scoring).
+        // Placeability depends only on the class, so the queue compares
+        // one head per eligible class. `queue_depth` is sampled first so
+        // telemetry still counts the chosen task (the seed removed it
+        // only after scoring).
         let queue_depth = self.ready.len();
-        let mut queue = std::mem::replace(&mut self.ready, ReadyQueue::new(self.cfg.policy));
-        let chosen = queue.take_first(|tid| {
-            if self.is_gpu_task(tid) {
-                total_free_gpu_slots > 0
-            } else {
-                self.cores_needed(tid) <= max_free_cores
-            }
+        let threads = self.cfg.cpu_threads_per_task;
+        let chosen = self.ready.take_first(|class| match class {
+            TaskClass::Gpu => total_free_gpu_slots > 0,
+            _ => class.cores(threads) <= max_free_cores,
         });
-        self.ready = queue;
         let Some(tid) = chosen else { return };
-        // Host-side decision timing, only when someone will consume it.
-        let host_t0 = if self.cfg.collect_telemetry {
-            // lint: allow(D2, host overhead probe; host_nanos is excluded from artifact serialization)
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
 
         // Score the nodes exactly once, for the task that will be
         // placed. The task's reads are resolved to `(version, bytes)`
@@ -1439,9 +1442,6 @@ impl<'a> Exec<'a> {
                 chosen: node,
                 queue_depth,
                 sim_overhead: overhead,
-                host_nanos: host_t0.map_or(0, |t| {
-                    u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
-                }),
                 candidates: avail
                     .iter()
                     .map(|a| CandidateScore {
@@ -1478,7 +1478,7 @@ impl<'a> Exec<'a> {
                     }
                     if self.free_slots(node, tid) == 0 {
                         if !self.in_backoff[i] {
-                            self.ready.insert(self.upward_rank[i], tid);
+                            self.enqueue(tid);
                         }
                         self.try_start_master();
                         return Ok(());
@@ -2146,13 +2146,7 @@ impl<'a> Exec<'a> {
             if *d == 0 {
                 let pending = self.pending_assign.map(|(t, _)| t) == Some(succ);
                 if !self.in_backoff[si] && !pending {
-                    self.ready.insert(self.upward_rank[si], succ);
-                    if self.bus.active() {
-                        self.bus.push(TelemetryEvent::TaskReady {
-                            at: now,
-                            task: succ,
-                        });
-                    }
+                    self.make_ready(succ, now);
                 }
             }
         }
@@ -2272,13 +2266,7 @@ impl<'a> Exec<'a> {
             self.rebuild_dependencies();
             return;
         }
-        self.ready.insert(self.upward_rank[i], tid);
-        if self.bus.active() {
-            self.bus.push(TelemetryEvent::TaskReady {
-                at: self.now(),
-                task: tid,
-            });
-        }
+        self.make_ready(tid, self.now());
     }
 
     /// A node dies: every attempt on it is killed and resubmitted, its
@@ -2490,7 +2478,7 @@ impl<'a> Exec<'a> {
     /// after regeneration changed the completion frontier.
     fn rebuild_dependencies(&mut self) {
         let now = self.now();
-        let mut ready = ReadyQueue::new(self.cfg.policy);
+        self.ready.clear();
         for i in 0..self.wf.tasks().len() {
             if self.completed[i] || self.runs[i].is_some() {
                 continue;
@@ -2505,14 +2493,9 @@ impl<'a> Exec<'a> {
             self.deps_left[i] = deps;
             let pending = self.pending_assign.map(|(t, _)| t) == Some(tid);
             if deps == 0 && !self.in_backoff[i] && !pending && !self.unarrived.contains(&tid.0) {
-                ready.insert(self.upward_rank[i], tid);
-                if self.bus.active() {
-                    self.bus
-                        .push(TelemetryEvent::TaskReady { at: now, task: tid });
-                }
+                self.make_ready(tid, now);
             }
         }
-        self.ready = ready;
     }
 
     /// Emits one processing-stage interval to the bus — the single

@@ -30,7 +30,7 @@ pub use gpuflow_chaos::{FaultPlan, RecoveryPolicy};
 pub use jobs::{BuiltJob, JobEntry, JobSchedule, JobShape, JobSpec, TenantSpec};
 pub use metrics::{LevelStats, RunMetrics, TaskRecord, UserCodeStats};
 pub use scheduler::{
-    decision_overhead, pick, place, NodeAvail, RankKey, ReadyQueue, SchedulingPolicy,
+    decision_overhead, pick, place, NodeAvail, RankKey, ReadyQueue, SchedulingPolicy, TaskClass,
 };
 pub use task::{CostProfile, Param, TaskId, TaskSpec, TaskType};
 pub use telemetry::{

@@ -82,20 +82,54 @@ impl Ord for RankKey {
     }
 }
 
-/// The executor's ready set, kept in dispatch order so every scheduling
-/// decision starts from the front instead of re-sorting the whole set.
+/// A task's resource class: which free-capacity test decides whether it
+/// can be placed right now. The class depends only on the task and the
+/// run configuration, so it is fixed for the whole run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum TaskClass {
+    /// Runs its parallel fraction on a GPU, holding one host core.
+    Gpu,
+    /// A CPU task with no parallel fraction: holds one core.
+    CpuSerial,
+    /// A CPU task with a parallel fraction: holds the configured thread
+    /// count of cores.
+    CpuParallel,
+}
+
+impl TaskClass {
+    /// Every class, indexed as the ready queue stores them.
+    pub const ALL: [TaskClass; 3] = [TaskClass::Gpu, TaskClass::CpuSerial, TaskClass::CpuParallel];
+
+    /// Host cores a task of this class holds while it runs.
+    pub fn cores(self, cpu_threads_per_task: usize) -> usize {
+        match self {
+            TaskClass::Gpu | TaskClass::CpuSerial => 1,
+            TaskClass::CpuParallel => cpu_threads_per_task,
+        }
+    }
+}
+
+/// Dispatch-order key: rank descending, then task id ascending.
+type ReadyKey = (Reverse<RankKey>, TaskId);
+
+/// The executor's ready set, kept in dispatch order and split by
+/// [`TaskClass`], so a scheduling decision compares at most one head per
+/// class instead of walking the set.
 ///
-/// Iteration order is the order the seed executor produced by sorting on
-/// each decision:
+/// Dispatch order (what [`ReadyQueue::iter`] yields across all classes)
+/// is the order the seed executor produced by sorting on each decision:
 ///
 /// * [`SchedulingPolicy::CriticalPath`] — descending upward rank, ties
 ///   on ascending task id (HEFT dispatch order);
 /// * the other policies ignore ranks (every task is keyed with rank 0),
 ///   so iteration is plain ascending task id — generation order.
+///
+/// The key is a total order, so the first task in dispatch order whose
+/// class is eligible is the smallest head among the eligible classes.
 #[derive(Debug, Clone)]
 pub struct ReadyQueue {
     use_rank: bool,
-    set: BTreeSet<(Reverse<RankKey>, TaskId)>,
+    classes: [BTreeSet<ReadyKey>; 3],
 }
 
 impl ReadyQueue {
@@ -103,52 +137,69 @@ impl ReadyQueue {
     pub fn new(policy: SchedulingPolicy) -> Self {
         ReadyQueue {
             use_rank: policy == SchedulingPolicy::CriticalPath,
-            set: BTreeSet::new(),
+            classes: Default::default(),
         }
     }
 
-    fn key(&self, rank: f64, task: TaskId) -> (Reverse<RankKey>, TaskId) {
+    fn key(&self, rank: f64, task: TaskId) -> ReadyKey {
         let rank = if self.use_rank { rank } else { 0.0 };
         (Reverse(RankKey::new(rank)), task)
     }
 
-    /// Inserts `task` with its upward rank. Re-inserting is a no-op as
-    /// long as the rank is unchanged (ranks are fixed per run).
-    pub fn insert(&mut self, rank: f64, task: TaskId) {
+    /// Inserts `task` of `class` with its upward rank. Re-inserting is a
+    /// no-op as long as the class and rank are unchanged (both are fixed
+    /// per run).
+    pub fn insert(&mut self, class: TaskClass, rank: f64, task: TaskId) {
         let key = self.key(rank, task);
-        self.set.insert(key);
+        self.classes[class as usize].insert(key);
     }
 
-    /// Removes `task`, which must have been inserted with `rank`.
-    /// Returns whether it was present.
-    pub fn remove(&mut self, rank: f64, task: TaskId) -> bool {
+    /// Removes `task`, which must have been inserted with `class` and
+    /// `rank`. Returns whether it was present.
+    pub fn remove(&mut self, class: TaskClass, rank: f64, task: TaskId) -> bool {
         let key = self.key(rank, task);
-        self.set.remove(&key)
+        self.classes[class as usize].remove(&key)
     }
 
-    /// Tasks in dispatch order.
+    /// Tasks in dispatch order, merged across classes.
     pub fn iter(&self) -> impl Iterator<Item = TaskId> + '_ {
-        self.set.iter().map(|&(_, task)| task)
+        let mut heads = [0, 1, 2].map(|c| self.classes[c].iter().peekable());
+        std::iter::from_fn(move || {
+            let (_, c) = (0..heads.len())
+                .filter_map(|c| heads[c].peek().map(|&&key| (key, c)))
+                .min()?;
+            heads[c].next().map(|&(_, task)| task)
+        })
     }
 
-    /// Removes and returns the first task (in dispatch order) matching
-    /// `pred` — the find and the removal fused into one walk, instead of
-    /// the find-then-keyed-remove pair that re-derived the ordering key
-    /// and searched the tree a second time.
-    pub fn take_first(&mut self, mut pred: impl FnMut(TaskId) -> bool) -> Option<TaskId> {
-        let key = self.set.iter().find(|&&(_, task)| pred(task)).copied()?;
-        self.set.remove(&key);
-        Some(key.1)
+    /// Removes and returns the first task in dispatch order whose class
+    /// passes `eligible`: the smallest head among the eligible classes.
+    /// Looks at one head per class; when nothing is eligible the queue
+    /// is left untouched.
+    pub fn take_first(&mut self, mut eligible: impl FnMut(TaskClass) -> bool) -> Option<TaskId> {
+        let (_, c) = self
+            .classes
+            .iter()
+            .enumerate()
+            .filter(|&(c, _)| eligible(TaskClass::ALL[c]))
+            .filter_map(|(c, set)| set.first().map(|head| (head, c)))
+            .min()?;
+        self.classes[c].pop_first().map(|(_, task)| task)
+    }
+
+    /// Empties the queue.
+    pub fn clear(&mut self) {
+        self.classes.iter_mut().for_each(BTreeSet::clear);
     }
 
     /// Number of ready tasks.
     pub fn len(&self) -> usize {
-        self.set.len()
+        self.classes.iter().map(BTreeSet::len).sum()
     }
 
     /// Whether no task is ready.
     pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
+        self.classes.iter().all(BTreeSet::is_empty)
     }
 }
 
@@ -350,10 +401,10 @@ mod tests {
     #[test]
     fn ready_queue_critical_path_orders_by_rank_then_id() {
         let mut q = ReadyQueue::new(SchedulingPolicy::CriticalPath);
-        q.insert(1.0, TaskId(5));
-        q.insert(3.0, TaskId(9));
-        q.insert(3.0, TaskId(2));
-        q.insert(0.5, TaskId(0));
+        q.insert(TaskClass::Gpu, 1.0, TaskId(5));
+        q.insert(TaskClass::CpuSerial, 3.0, TaskId(9));
+        q.insert(TaskClass::CpuParallel, 3.0, TaskId(2));
+        q.insert(TaskClass::Gpu, 0.5, TaskId(0));
         let order: Vec<TaskId> = q.iter().collect();
         assert_eq!(order, vec![TaskId(2), TaskId(9), TaskId(5), TaskId(0)]);
     }
@@ -365,36 +416,52 @@ mod tests {
             SchedulingPolicy::DataLocality,
         ] {
             let mut q = ReadyQueue::new(policy);
-            q.insert(1.0, TaskId(5));
-            q.insert(9.0, TaskId(7));
-            q.insert(4.0, TaskId(1));
+            q.insert(TaskClass::CpuSerial, 1.0, TaskId(5));
+            q.insert(TaskClass::Gpu, 9.0, TaskId(7));
+            q.insert(TaskClass::CpuSerial, 4.0, TaskId(1));
             let order: Vec<TaskId> = q.iter().collect();
             assert_eq!(order, vec![TaskId(1), TaskId(5), TaskId(7)], "{policy:?}");
         }
     }
 
     #[test]
-    fn take_first_removes_the_first_match_in_dispatch_order() {
+    fn take_first_removes_the_first_eligible_task_in_dispatch_order() {
         let mut q = ReadyQueue::new(SchedulingPolicy::GenerationOrder);
-        q.insert(0.0, TaskId(2));
-        q.insert(0.0, TaskId(5));
-        q.insert(0.0, TaskId(8));
-        assert_eq!(q.take_first(|t| t.0 > 3), Some(TaskId(5)));
-        assert_eq!(q.len(), 2);
+        q.insert(TaskClass::Gpu, 0.0, TaskId(2));
+        q.insert(TaskClass::CpuSerial, 0.0, TaskId(5));
+        q.insert(TaskClass::CpuParallel, 0.0, TaskId(8));
+        q.insert(TaskClass::CpuSerial, 0.0, TaskId(9));
+        let cpu = |c: TaskClass| c != TaskClass::Gpu;
+        assert_eq!(q.take_first(cpu), Some(TaskId(5)));
+        assert_eq!(q.len(), 3);
         assert_eq!(q.take_first(|_| true), Some(TaskId(2)));
-        assert_eq!(q.take_first(|t| t.0 == 1), None);
-        assert_eq!(q.len(), 1, "no match leaves the queue untouched");
+        assert_eq!(q.take_first(|c| c == TaskClass::Gpu), None);
+        assert_eq!(q.len(), 2, "no match leaves the queue untouched");
+        assert_eq!(q.iter().collect::<Vec<_>>(), vec![TaskId(8), TaskId(9)]);
+        q.clear();
+        assert!(q.is_empty());
     }
 
     #[test]
-    fn ready_queue_remove_uses_the_insertion_rank() {
+    fn ready_queue_remove_uses_the_insertion_class_and_rank() {
         let mut q = ReadyQueue::new(SchedulingPolicy::CriticalPath);
-        q.insert(2.5, TaskId(3));
-        q.insert(1.0, TaskId(4));
-        assert!(q.remove(2.5, TaskId(3)));
-        assert!(!q.remove(2.5, TaskId(3)), "already gone");
+        q.insert(TaskClass::Gpu, 2.5, TaskId(3));
+        q.insert(TaskClass::CpuSerial, 1.0, TaskId(4));
+        assert!(
+            !q.remove(TaskClass::CpuSerial, 2.5, TaskId(3)),
+            "wrong class"
+        );
+        assert!(q.remove(TaskClass::Gpu, 2.5, TaskId(3)));
+        assert!(!q.remove(TaskClass::Gpu, 2.5, TaskId(3)), "already gone");
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
         assert_eq!(q.iter().next(), Some(TaskId(4)));
+    }
+
+    #[test]
+    fn task_class_cores() {
+        assert_eq!(TaskClass::Gpu.cores(4), 1);
+        assert_eq!(TaskClass::CpuSerial.cores(4), 1);
+        assert_eq!(TaskClass::CpuParallel.cores(4), 4);
     }
 }

@@ -41,10 +41,6 @@ pub struct SchedulerDecision {
     /// Modelled master-side overhead of the decision, in simulation
     /// time.
     pub sim_overhead: SimDuration,
-    /// Wall-clock nanoseconds the host spent making this decision.
-    /// Nondeterministic; excluded from the JSONL export so event
-    /// streams stay byte-identical across runs.
-    pub host_nanos: u64,
     /// The scored candidate set, one entry per cluster node.
     pub candidates: Vec<CandidateScore>,
 }
@@ -281,9 +277,7 @@ impl TelemetryEvent {
     }
 
     /// One deterministic JSON object (no trailing newline). Times are
-    /// integer nanoseconds; the nondeterministic `host_nanos` of
-    /// decisions is deliberately omitted so streams from identical runs
-    /// are byte-identical.
+    /// integer nanoseconds.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(96);
         match self {
@@ -598,7 +592,6 @@ mod tests {
             chosen: 2,
             queue_depth: 4,
             sim_overhead: SimDuration::from_micros(800),
-            host_nanos: 123, // must not appear in the JSON
             candidates: vec![
                 CandidateScore {
                     node: 0,
@@ -616,7 +609,6 @@ mod tests {
         assert!(json.contains("\"queue_depth\":4"));
         assert!(json.contains("\"overhead_ns\":800000"));
         assert!(json.contains("{\"node\":0,\"free_slots\":1,\"cached_bytes\":0}"));
-        assert!(!json.contains("123"), "host time must stay out: {json}");
     }
 
     #[test]

@@ -1373,7 +1373,6 @@ mod tests {
                 chosen: 0,
                 queue_depth: 2,
                 sim_overhead: SimDuration::from_nanos(500),
-                host_nanos: 0,
                 candidates: Vec::new(),
             },
         ));

@@ -179,7 +179,7 @@ impl TelemetryLog {
     /// decision with the scored candidate set and the chosen node.
     pub fn render_decisions(&self) -> String {
         let mut out = String::from(
-            "time_s       task   node  queue  overhead_us  host_us  candidates (node:slots/cached)\n",
+            "time_s       task   node  queue  overhead_us  candidates (node:slots/cached)\n",
         );
         for d in self.decisions() {
             let mut cands = String::new();
@@ -191,13 +191,12 @@ impl TelemetryLog {
             }
             let _ = writeln!(
                 out,
-                "{:<12.6} {:<6} {:<5} {:<6} {:<12.1} {:<8.1} {}",
+                "{:<12.6} {:<6} {:<5} {:<6} {:<12.1} {}",
                 d.at.as_secs_f64(),
                 d.task.0,
                 d.chosen,
                 d.queue_depth,
                 d.sim_overhead.as_nanos() as f64 / 1e3,
-                d.host_nanos as f64 / 1e3,
                 cands
             );
         }

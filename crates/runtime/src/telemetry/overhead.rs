@@ -57,9 +57,6 @@ pub struct OverheadReport {
     /// task execution; this is the raw sum, not the critical-path
     /// `master` bucket).
     pub master_sim_total: f64,
-    /// Total wall-clock nanoseconds the host spent inside the
-    /// scheduler. Nondeterministic; informational only.
-    pub master_host_nanos: u64,
     /// The makespan on the nanosecond grid. The five `*_ns` buckets sum
     /// to this **exactly** — the differential analysis relies on the
     /// integer identity, not the floating-point one.
@@ -182,7 +179,6 @@ impl OverheadReport {
         let mut deltas = SweepKeys::for_makespan(makespan_ns);
         let mut decisions = 0usize;
         let mut master_sim_total = 0.0f64;
-        let mut master_host_nanos = 0u64;
         for ev in log.events() {
             match ev {
                 TelemetryEvent::Stage {
@@ -218,7 +214,6 @@ impl OverheadReport {
                 TelemetryEvent::Decision(d) => {
                     decisions += 1;
                     master_sim_total += d.sim_overhead.as_secs_f64();
-                    master_host_nanos += d.host_nanos;
                     deltas.interval(d.at.as_nanos(), (d.at + d.sim_overhead).as_nanos(), 2);
                 }
                 TelemetryEvent::TaskRetry { at, until, .. } => {
@@ -262,7 +257,6 @@ impl OverheadReport {
             task_failures,
             retries,
             master_sim_total,
-            master_host_nanos,
             makespan_ns,
             compute_ns: acc_ns[0],
             data_movement_ns: acc_ns[1],
@@ -333,10 +327,8 @@ impl OverheadReport {
         );
         let _ = writeln!(
             out,
-            "decisions: {}   total master sim-time: {:.6} s   host time: {:.3} ms",
-            self.decisions,
-            self.master_sim_total,
-            self.master_host_nanos as f64 / 1e6
+            "decisions: {}   total master sim-time: {:.6} s",
+            self.decisions, self.master_sim_total
         );
         if self.task_failures > 0 || self.retries > 0 {
             let _ = writeln!(
@@ -375,7 +367,6 @@ mod tests {
             chosen: 0,
             queue_depth: 1,
             sim_overhead: SimDuration::from_nanos(overhead),
-            host_nanos: 5,
             candidates: Vec::new(),
         })
     }
@@ -396,7 +387,6 @@ mod tests {
         assert!((r.idle - 4.0).abs() < 1e-9, "{r:?}");
         assert!((r.total() - r.makespan).abs() < 1e-9);
         assert_eq!(r.decisions, 1);
-        assert_eq!(r.master_host_nanos, 5);
     }
 
     #[test]

@@ -62,7 +62,6 @@ fn event(kind: u32, task: u32, t0: u64, t1: u64) -> TelemetryEvent {
             chosen: 0,
             queue_depth: 1,
             sim_overhead: SimDuration::from_nanos(t1 - t0),
-            host_nanos: 0,
             candidates: Vec::new(),
         }),
         _ => TelemetryEvent::TaskRetry {
